@@ -7,8 +7,9 @@
 ///
 /// Where does hashing pay? Sweeps the key range on a contains-heavy
 /// workload (10% updates by default) and compares each flat list (vbl,
-/// harris-michael) against its split-ordered hash overlay (so-hash-vbl,
-/// so-hash-hm). Lists traverse O(n) nodes per operation, so their
+/// harris-michael) against its split-ordered hash overlay
+/// (so-hash-vbl-resize, so-hash-hm-resize). Lists traverse O(n) nodes
+/// per operation, so their
 /// throughput falls off linearly with the range; the hash overlays stay
 /// near-flat (O(1) expected bucket length), and the crossover is the
 /// point where sharding the paper's structures starts to matter.
@@ -50,10 +51,9 @@ SetOp pickPhaseOp(Xoshiro256 &Rng, bool Fill) {
 /// express: every thread alternates insert-heavy fill phases with
 /// remove-heavy drain phases on a shared wall-clock grid (phase index =
 /// elapsed / PhaseMs), so the whole table inflates and deflates
-/// together. Grow-only tables pay the phased shape once (the index
-/// ratchets up and stays); shrink-enabled tables ride it down every
-/// drain and back up every fill, which is exactly the regime the resize
-/// machinery — and its cost — is for.
+/// together. The index rides it down every drain and back up every
+/// fill, which is exactly the regime the resize machinery — and its
+/// cost — is for.
 double runPhased(ConcurrentSet &Set, unsigned Threads, SetKey Range,
                  unsigned PhaseMs, unsigned Phases, uint64_t Seed) {
   const uint64_t WindowNs = uint64_t{PhaseMs} * Phases * 1000000ULL;
@@ -157,8 +157,7 @@ int main(int Argc, char **Argv) {
   Flags.addBool("stats", false,
                 "collect internal counters and report them per structure");
   Flags.addBool("phased", false,
-                "also run the grow/shrink phased workload (grow-only vs "
-                "resize-enabled tables)");
+                "also run the grow/shrink phased workload");
   Flags.addInt("phase-ms", 40, "fill/drain phase length (phased mode)");
   Flags.addInt("phases", 6, "number of alternating phases (phased mode)");
   Flags.addInt("phased-range", 8192, "key range for the phased workload");
@@ -166,13 +165,8 @@ int main(int Argc, char **Argv) {
     return 1;
   setStatsCollection(Flags.getBool("stats"));
 
-  // The steady-state sweep carries the resize-enabled overlays next to
-  // their grow-only twins: once the table has grown to fit the range,
-  // the shrink watermark is never crossed, so any steady-state gap is
-  // pure bookkeeping overhead (EXPERIMENTS.md gates it at 5%).
   const std::vector<std::string> Structures = {
-      "vbl",          "so-hash-vbl", "so-hash-vbl-resize",
-      "harris-michael", "so-hash-hm",  "so-hash-hm-resize"};
+      "vbl", "so-hash-vbl-resize", "harris-michael", "so-hash-hm-resize"};
   const bool WithLatency = Flags.getBool("latency");
 
   BenchJsonReport Report;
@@ -209,7 +203,7 @@ int main(int Argc, char **Argv) {
         std::fflush(stdout);
         if (Structure == "vbl")
           FlatVbl = Record.ThroughputOpsPerSec;
-        else if (Structure == "so-hash-vbl")
+        else if (Structure == "so-hash-vbl-resize")
           HashVbl = Record.ThroughputOpsPerSec;
         RowRecords.push_back(Record);
         Report.add(Record);
@@ -235,37 +229,23 @@ int main(int Argc, char **Argv) {
     const unsigned Phases = static_cast<unsigned>(Flags.getInt("phases"));
     const unsigned Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
     const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
-    // Grow-only vs resize-enabled under the same phased churn; the
-    // ratio column is resize/grow-only (≈1 means the swap machinery is
-    // paying for its adaptivity).
-    const std::vector<std::pair<std::string, std::string>> Pairs = {
-        {"so-hash-vbl", "so-hash-vbl-resize"},
-        {"so-hash-hm", "so-hash-hm-resize"}};
+    const std::vector<std::string> Phased = {"so-hash-vbl-resize",
+                                             "so-hash-hm-resize"};
     for (unsigned Threads : Flags.getUnsignedList("threads")) {
       std::printf("\n== hashset_phased: %u thread(s), range %llu, "
                   "%u x %u ms fill/drain phases ==\n",
                   Threads, static_cast<unsigned long long>(Range), Phases,
                   PhaseMs);
-      std::printf("%22s %16s %16s %14s\n", "pair", "grow-only",
-                  "resize", "resize/grow");
-      for (const auto &[GrowOnly, Resize] : Pairs) {
-        const BenchRecord A = measurePhased(GrowOnly, Threads, Range,
-                                            PhaseMs, Phases, Repeats, Seed);
-        const BenchRecord B = measurePhased(Resize, Threads, Range,
-                                            PhaseMs, Phases, Repeats, Seed);
-        std::printf("%22s %12.3f Mops %12.3f Mops %13.2fx\n",
-                    GrowOnly.c_str(), A.ThroughputOpsPerSec * 1e-6,
-                    B.ThroughputOpsPerSec * 1e-6,
-                    A.ThroughputOpsPerSec > 0
-                        ? B.ThroughputOpsPerSec / A.ThroughputOpsPerSec
-                        : 0.0);
-        for (const BenchRecord &Record : {A, B}) {
-          Report.add(Record);
-          if (Record.HasStats && !Record.Stats.empty()) {
-            std::printf("  -- stats: %s --\n", Record.Structure.c_str());
-            std::fputs(stats::renderTable(Record.Stats, "    ").c_str(),
-                       stdout);
-          }
+      for (const std::string &Structure : Phased) {
+        const BenchRecord Record = measurePhased(
+            Structure, Threads, Range, PhaseMs, Phases, Repeats, Seed);
+        std::printf("%22s %12.3f Mops\n", Structure.c_str(),
+                    Record.ThroughputOpsPerSec * 1e-6);
+        Report.add(Record);
+        if (Record.HasStats && !Record.Stats.empty()) {
+          std::printf("  -- stats: %s --\n", Record.Structure.c_str());
+          std::fputs(stats::renderTable(Record.Stats, "    ").c_str(),
+                     stdout);
         }
       }
     }

@@ -73,8 +73,9 @@ inline constexpr bool isHashKey(SetKey Key) {
 }
 
 /// Construction-time shape of a split-ordered hash set's bucket index
-/// and the resize policy that drives the grace-period table swap
-/// (maps/SplitOrderedHashSet.h). Every size is a bucket COUNT and must
+/// and the resize policy that grows and shrinks it through the
+/// grace-period table swap (maps/SplitOrderedHashSet.h). The defaults
+/// are the registry's shape. Every size is a bucket COUNT and must
 /// be a power of two — the index is addressed by masking the mixed
 /// hash, so a non-pow2 count silently drops buckets. Historically the
 /// constructor rounded bad values up; that silent path is gone:
@@ -96,12 +97,8 @@ struct HashSetConfig {
   /// occupancy must fall to 1/ShrinkDivisor of the grow trigger before
   /// the table gives memory back. >= 4 guarantees a freshly halved
   /// table is not immediately grow-eligible again (no thrash at a
-  /// boundary count). Ignored unless EnableShrink.
+  /// boundary count).
   size_t ShrinkDivisor = 4;
-  /// Master switch for shrinking. Off by default so the classic
-  /// grow-only behaviour (and its perf profile) is what you get unless
-  /// you opt in; the `so-hash-*-resize` registry entries opt in.
-  bool EnableShrink = false;
 };
 
 /// Named validation verdicts for HashSetConfig — the registry and the
@@ -114,9 +111,9 @@ enum class HashSetConfigError : uint8_t {
   MaxNotPowerOfTwo,     ///< MaxBuckets is zero or not a power of two.
   BoundsInverted,       ///< Not MinBuckets <= InitialBuckets <= MaxBuckets.
   ZeroLoadFactor,       ///< GrowLoadFactor == 0 (grows on every insert).
-  ShrinkDivisorTooSmall,///< EnableShrink with ShrinkDivisor < 2 — no
-                        ///  hysteresis; grow and shrink thresholds meet
-                        ///  and the table thrashes at the boundary.
+  ShrinkDivisorTooSmall,///< ShrinkDivisor < 2 — no hysteresis; grow
+                        ///  and shrink thresholds meet and the table
+                        ///  thrashes at the boundary.
 };
 
 /// Stable diagnostic name for \p E ("InitialNotPowerOfTwo", ...).
@@ -158,7 +155,7 @@ validateHashSetConfig(const HashSetConfig &C) {
     return HashSetConfigError::BoundsInverted;
   if (C.GrowLoadFactor == 0)
     return HashSetConfigError::ZeroLoadFactor;
-  if (C.EnableShrink && C.ShrinkDivisor < 2)
+  if (C.ShrinkDivisor < 2)
     return HashSetConfigError::ShrinkDivisorTooSmall;
   return HashSetConfigError::None;
 }

@@ -18,8 +18,10 @@
 
 #include "core/SetConfig.h"
 #include "support/Compiler.h"
+#include "support/Timing.h"
 #include "sync/Policy.h"
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -87,14 +89,28 @@ private:
   std::vector<ThreadLog> Logs;
 };
 
+/// Reads \p Clock between two seq_cst fences. Every timestamp that
+/// feeds checkSetHistory must come from here. A bare clock read (the
+/// vDSO's `lfence; rdtsc`) does not drain the store buffer, and later
+/// loads may run before it, so under load an unfenced response stamp
+/// can precede the op's store becoming visible (and an invoke stamp can
+/// follow the op's first load). The checker then sees a real-time order
+/// the execution never had and reports a false violation.
+inline uint64_t fencedStamp(uint64_t (*Clock)() = &nowNanos) {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const uint64_t Stamp = Clock();
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return Stamp;
+}
+
 /// Runs \p Fn as one timed operation and records it: the standard
 /// pattern for instrumenting an op call site.
 template <class Fn>
 bool recordOp(HistoryRecorder::ThreadLog &Log, SetOp Op, SetKey Key,
               Fn &&Call, uint64_t (*Clock)()) {
-  const uint64_t Invoke = Clock();
+  const uint64_t Invoke = fencedStamp(Clock);
   const bool Result = Call();
-  const uint64_t Response = Clock();
+  const uint64_t Response = fencedStamp(Clock);
   Log.record(Op, Key, Result, Invoke, Response);
   return Result;
 }

@@ -74,14 +74,28 @@ private:
     vbl_unreachable("covered switch");
   }
 
-  static uint64_t hashState(size_t Frontier,
-                            const std::vector<uint32_t> &Holes,
-                            bool Present) {
-    uint64_t H = Frontier * 0x9e3779b97f4a7c15ULL + (Present ? 1 : 0);
-    for (uint32_t Hole : Holes)
-      H = (H ^ Hole) * 0xff51afd7ed558ccdULL;
-    return H;
-  }
+  /// A search state, memoized by its exact value. A 64-bit fold such
+  /// as StateHash below is not a sound memo key: for an even Frontier
+  /// it maps (F, {h}, present) and (F, {h^1}, absent) to the same
+  /// value, so remembering a failed state by its fold pruned a
+  /// different, live state and rejected linearizable histories.
+  struct State {
+    size_t Frontier;
+    std::vector<uint32_t> Holes; // Sorted.
+    bool Present;
+
+    bool operator==(const State &O) const = default;
+  };
+
+  /// Bucket selector only; equality above decides membership.
+  struct StateHash {
+    size_t operator()(const State &S) const {
+      uint64_t H = S.Frontier * 0x9e3779b97f4a7c15ULL + (S.Present ? 1 : 0);
+      for (uint32_t Hole : S.Holes)
+        H = (H ^ Hole) * 0xff51afd7ed558ccdULL;
+      return static_cast<size_t>(H);
+    }
+  };
 
   /// Linearizes op \p I from state (Frontier, Holes): ops in Holes and
   /// ops at indices >= Frontier are remaining.
@@ -106,11 +120,8 @@ private:
     if (Frontier == Ops.size() && Holes.empty())
       return true;
     std::sort(Holes.begin(), Holes.end());
-    if (!Visited.insert(hashState(Frontier, Holes, Present)).second)
-      return false; // Explored (and failed) before. Hash collisions
-                    // could only cause a false "not linearizable", and
-                    // 64-bit collisions over these state counts are
-                    // beyond negligible.
+    if (!Visited.insert({Frontier, Holes, Present}).second)
+      return false; // Explored (and failed) before.
 
     // An op can be linearized first iff it is invoked before every
     // remaining op's response (Wing-Gong candidate rule).
@@ -132,7 +143,7 @@ private:
   std::vector<CompletedOp> Ops;
   std::vector<uint64_t> SuffixMinResp;
   bool InitialPresent;
-  std::unordered_set<uint64_t> Visited;
+  std::unordered_set<State, StateHash> Visited;
 };
 
 } // namespace

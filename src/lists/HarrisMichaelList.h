@@ -20,6 +20,13 @@
 /// without an extra indirection; pointer tagging is the C++ equivalent
 /// with zero indirections (see DESIGN.md substitutions).
 ///
+/// One implementation serves every reclamation domain. Over hazard
+/// pointers (reclaim::IsHazardDomain, the scheme Michael published the
+/// algorithm with) each hop first publishes the node and revalidates the
+/// edge it was read from, and contains/rangeQuery take the helping
+/// protected walk, so they are lock-free rather than wait-free. Epoch,
+/// leaky and other guard-scoped domains compile none of that in.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VBL_LISTS_HARRISMICHAELLIST_H
@@ -28,6 +35,7 @@
 #include "analysis/FlowView.h"
 #include "core/SetConfig.h"
 #include "reclaim/EpochDomain.h"
+#include "reclaim/HazardPointerDomain.h"
 #include "reclaim/NodePool.h"
 #include "support/Compiler.h"
 #include "sync/Policy.h"
@@ -53,14 +61,20 @@ class HarrisMichaelList {
     std::atomic<uintptr_t> Next{0};
   };
 
+  /// Michael's per-hop publish-and-revalidate, compiled in only for
+  /// domains that protect individual pointers.
+  static constexpr bool Hazard = reclaim::IsHazardDomain<ReclaimT>;
+
 public:
   using Reclaim = ReclaimT;
   using Policy = PolicyT;
+  using Guard = typename Reclaim::Guard;
 
   /// Opaque handle to a list node that the caller guarantees is never
   /// removed (the head sentinel, or the dummy nodes a split-ordered
   /// hash overlay pins into the list). Such a handle stays valid for
-  /// the lifetime of the list and may seed *From() operations.
+  /// the lifetime of the list, may seed *From() operations, and, being
+  /// immortal, needs no hazard slot of its own.
   using BucketHandle = Node *;
 
   HarrisMichaelList() {
@@ -101,10 +115,10 @@ public:
 
   bool insertFrom(SetKey Key, BucketHandle Start) {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
-    typename Reclaim::Guard G(Domain);
+    Guard G(Domain);
     Node *NewNode = nullptr;
     for (;;) {
-      auto [Prev, Curr] = find(Key, Start);
+      auto [Prev, Curr] = find(Key, Start, G);
       if (Curr->Val == Key) {
         reclaim::poolDestroy<Policy>(NewNode); // Never published.
         return false;
@@ -127,9 +141,9 @@ public:
 
   bool removeFrom(SetKey Key, BucketHandle Start) {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
-    typename Reclaim::Guard G(Domain);
+    Guard G(Domain);
     for (;;) {
-      auto [Prev, Curr] = find(Key, Start);
+      auto [Prev, Curr] = find(Key, Start, G);
       if (Curr->Val != Key)
         return false;
       const uintptr_t SuccWord =
@@ -162,10 +176,14 @@ public:
   }
 
   /// Wait-free contains: traverses without helping, then reads the mark
-  /// from the found node's next word.
+  /// from the found node's next word. Under hazard pointers every hop
+  /// needs the revalidation loop, so it runs find() instead (lock-free).
   bool containsFrom(SetKey Key, const Node *Start) const {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
-    typename Reclaim::Guard G(Domain);
+    Guard G(Domain);
+    if constexpr (Hazard)
+      return mutableThis()->find(Key, const_cast<Node *>(Start), G)
+                 .second->Val == Key;
     const Node *Curr = Start;
     SetKey Val = Policy::readValue(Curr->Val, Curr);
     uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
@@ -191,13 +209,30 @@ public:
   /// next-word read per hop serves both the mark test and the advance,
   /// so a node observed unmarked at its visit is reported present (its
   /// linearization point is that read).
+  ///
+  /// Under hazard pointers the scan is find()'s protected walk from the
+  /// head instead (lock-free). A restart discards the partial collect,
+  /// so the keys always come from one uninterrupted protected walk.
   size_t rangeQuery(SetKey Lo, SetKey Hi, std::vector<SetKey> &Out) const {
     VBL_ASSERT(isUserKey(Lo) && isUserKey(Hi),
                "sentinel keys are reserved");
     if (Lo > Hi)
       return 0;
-    typename Reclaim::Guard G(Domain);
+    Guard G(Domain);
     const size_t Entry = Out.size();
+    if constexpr (Hazard) {
+      mutableThis()->walk(
+          Head, G,
+          [&](SetKey Val) {
+            if (Val > Hi)
+              return true; // The tail sentinel stops every walk.
+            if (Val >= Lo)
+              Out.push_back(Val);
+            return false;
+          },
+          [&] { Out.resize(Entry); });
+      return Out.size() - Entry;
+    }
     const Node *Curr = ptrOf(Policy::read(
         Head->Next, std::memory_order_acquire, Head, MemField::Next));
     SetKey Val = Policy::readValue(Curr->Val, Curr);
@@ -223,10 +258,10 @@ public:
   /// user-visible), which is what makes the returned handle stable.
   BucketHandle getOrInsertSentinelFrom(SetKey Key, BucketHandle Start) {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
-    typename Reclaim::Guard G(Domain);
+    Guard G(Domain);
     Node *NewNode = nullptr;
     for (;;) {
-      auto [Prev, Curr] = find(Key, Start);
+      auto [Prev, Curr] = find(Key, Start, G);
       if (Curr->Val == Key) {
         reclaim::poolDestroy<Policy>(NewNode); // Never published.
         return Curr;
@@ -326,17 +361,49 @@ private:
     return Raw | static_cast<uintptr_t>(Marked);
   }
 
+  HarrisMichaelList *mutableThis() const {
+    return const_cast<HarrisMichaelList *>(this);
+  }
+
   /// Michael's find: returns (prev, curr) with curr unmarked,
-  /// prev.val < Key <= curr.val and prev->next == curr. Unlinks every
-  /// marked node it encounters; restarts from \p Start (the head, or a
-  /// never-removed bucket dummy) when an unlink CAS loses a race.
-  std::pair<Node *, Node *> find(SetKey Key, Node *Start) {
+  /// prev.val < Key <= curr.val and prev->next == curr.
+  std::pair<Node *, Node *> find(SetKey Key, Node *Start, Guard &G) {
+    return walk(
+        Start, G, [Key](SetKey Val) { return Val >= Key; }, [] {});
+  }
+
+  /// Michael's traversal from \p Start (the head, or a never-removed
+  /// bucket dummy): visits unmarked nodes in key order and returns
+  /// (prev, curr) for the first whose key satisfies \p Stop, with
+  /// prev->next == curr. Unlinks every marked node it meets, and
+  /// re-traverses from Start when an unlink CAS (or, under hazard
+  /// pointers, a revalidation) loses a race; \p BeginAttempt runs
+  /// before every attempt, the first included. Under hazard pointers
+  /// curr and prev stay protected on return (Start is immortal and
+  /// needs no slot).
+  template <class StopFn, class AttemptFn>
+  std::pair<Node *, Node *> walk(Node *Start, [[maybe_unused]] Guard &G,
+                                 StopFn Stop, AttemptFn BeginAttempt) {
     uint64_t Hops = 0; // Accumulated across retries; one stats call.
   Retry:
+    BeginAttempt();
     Node *Prev = Start;
+    if constexpr (Hazard)
+      G.clear(reclaim::HazardSlotPrev);
     Node *Curr = ptrOf(Policy::read(Prev->Next, std::memory_order_acquire,
                                     Prev, MemField::Next));
     for (;;) {
+      if constexpr (Hazard) {
+        // Publish Curr, then prove it was still linked from Prev
+        // afterwards: a node is retired only after being unlinked, so
+        // an unchanged edge means "not retired yet".
+        G.set(reclaim::HazardSlotCurr, Curr);
+        if (Policy::readCheck(Prev->Next, std::memory_order_seq_cst, Prev,
+                              MemField::Next) != pack(Curr, false)) {
+          Policy::onRestart();
+          goto Retry;
+        }
+      }
       const uintptr_t SuccWord =
           Policy::read(Curr->Next, std::memory_order_acquire, Curr,
                        MemField::Next);
@@ -359,11 +426,13 @@ private:
         Curr = Succ;
         continue;
       }
-      if (Policy::readValue(Curr->Val, Curr) >= Key) {
+      if (Stop(Policy::readValue(Curr->Val, Curr))) {
         stats::noteTraversal(Hops);
         return {Prev, Curr};
       }
       Prev = Curr;
+      if constexpr (Hazard)
+        G.set(reclaim::HazardSlotPrev, Curr);
       Curr = Succ;
     }
   }

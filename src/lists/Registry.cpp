@@ -13,12 +13,12 @@
 #include "lists/HandOverHandList.h"
 #include "lists/HarrisList.h"
 #include "lists/HarrisMichaelList.h"
-#include "lists/HarrisMichaelListHp.h"
 #include "lists/LazyList.h"
 #include "lists/LazySkipList.h"
 #include "lists/OptimisticList.h"
 #include "lists/TombstoneBst.h"
 #include "maps/SplitOrderedHashSet.h"
+#include "reclaim/HazardPointerDomain.h"
 #include "reclaim/LeakyDomain.h"
 #include "reclaim/VbrDomain.h"
 #include "sync/VersionedLock.h"
@@ -71,12 +71,10 @@ using LazyDefault = LazyList<>;
 using LazyLeaky = LazyList<reclaim::LeakyDomain>;
 using HarrisMichaelDefault = HarrisMichaelList<>;
 using HarrisMichaelLeaky = HarrisMichaelList<reclaim::LeakyDomain>;
+using HarrisMichaelHp = HarrisMichaelList<reclaim::HazardPointerDomain>;
 using HarrisDefault = HarrisList<>;
 using OptimisticDefault = OptimisticList<>;
 using HandOverHandDefault = HandOverHandList<>;
-// Split-ordered hash overlays (src/maps) over the paper's substrates.
-using SoHashHm = maps::SplitOrderedHashSet<HarrisMichaelDefault>;
-using SoHashVbl = maps::SplitOrderedHashSet<VblDefault>;
 // Unrolled chunked VBL (core/VblChunkList.h). K=7 fills one 64-byte key
 // line; K=1 is the unrolling ablation (flat-like layout, chunk
 // protocol); K=15 fills two key lines per chunk.
@@ -89,31 +87,16 @@ using VblChunkLeaky = VblChunkList<7, reclaim::LeakyDomain>;
 using VblVbr = VblList<reclaim::VbrDomain>;
 using LazyVbr = LazyList<reclaim::VbrDomain>;
 using VblChunkVbr = VblChunkList<7, reclaim::VbrDomain>;
+// Split-ordered hash overlays (src/maps) over the paper's substrates.
+// The bucket index follows the population both ways (grow at load
+// factor 4, halve once the held count falls under a quarter of the grow
+// trigger); displaced indexes retire through the substrate's own
+// domain. Their names keep the "-resize" suffix because benchmarks
+// resolve them by name.
+using SoHashHm = maps::SplitOrderedHashSet<HarrisMichaelDefault>;
+using SoHashVbl = maps::SplitOrderedHashSet<VblDefault>;
 using SoHashVblVbr = maps::SplitOrderedHashSet<VblVbr>;
-using SoHashHmHp = maps::SplitOrderedHashSet<HarrisMichaelListHp>;
-// Resizable hash variants: shrink enabled, so the bucket index follows
-// the population both ways (grow at load factor 4, halve once the held
-// count falls under a quarter of the grow trigger). Displaced indexes
-// retire through the substrate's own domain.
-struct ResizeHashConfig {
-  static HashSetConfig config() {
-    HashSetConfig C;
-    C.InitialBuckets = 16;
-    C.GrowLoadFactor = 4;
-    C.MinBuckets = 1;
-    C.ShrinkDivisor = 4;
-    C.EnableShrink = true;
-    return C;
-  }
-};
-using SoHashHmResize =
-    maps::SplitOrderedHashSet<HarrisMichaelDefault, ResizeHashConfig>;
-using SoHashVblResize =
-    maps::SplitOrderedHashSet<VblDefault, ResizeHashConfig>;
-using SoHashVblVbrResize =
-    maps::SplitOrderedHashSet<VblVbr, ResizeHashConfig>;
-using SoHashHmHpResize =
-    maps::SplitOrderedHashSet<HarrisMichaelListHp, ResizeHashConfig>;
+using SoHashHmHp = maps::SplitOrderedHashSet<HarrisMichaelHp>;
 // Contention-adaptive chunking: splits hot chunks toward small
 // effective K, merges cold runs toward large K, both piggybacked on the
 // freeze-and-replace protocol.
@@ -157,7 +140,7 @@ static const RegistryEntry Registry[] = {
     {"vbl-versioned", &makeAdapter<VblVersioned>,
      "VBL over seqlock-style versioned locks; substrate=flat domain=ebr "
      "lock=versioned"},
-    {"harris-michael-hp", &makeAdapter<HarrisMichaelListHp>,
+    {"harris-michael-hp", &makeAdapter<HarrisMichaelHp>,
      "Harris-Michael over hazard pointers; substrate=flat domain=hp "
      "lock=none"},
     {"vbl-chunk", &makeAdapter<VblChunkDefault>,
@@ -188,30 +171,18 @@ static const RegistryEntry Registry[] = {
     {"vbl-chunk-adaptive", &makeAdapter<VblChunkAdaptive>,
      "chunked VBL, contention-adaptive shapes (hot split / cold merge); "
      "substrate=chunk K=7 domain=ebr lock=chunk-seqlock"},
-    {"so-hash-hm", &makeAdapter<SoHashHm>,
-     "split-ordered hash over Harris-Michael; substrate=hash/flat "
-     "domain=ebr lock=none keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-vbl", &makeAdapter<SoHashVbl>,
-     "split-ordered hash over VBL; substrate=hash/flat domain=ebr "
-     "lock=tas keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-vbl-vbr", &makeAdapter<SoHashVblVbr>,
-     "split-ordered hash over VBL+VBR; substrate=hash/flat domain=vbr "
-     "lock=tas keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-hm-hp", &makeAdapter<SoHashHmHp>,
-     "split-ordered hash over Harris-Michael+HP; substrate=hash/flat "
-     "domain=hp lock=none keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-hm-resize", &makeAdapter<SoHashHmResize>,
+    {"so-hash-hm-resize", &makeAdapter<SoHashHm>,
      "split-ordered hash over Harris-Michael, grow+shrink index; "
      "substrate=hash/flat domain=ebr lock=none keys=[0,2^62)",
      /*FullKeyDomain=*/false},
-    {"so-hash-vbl-resize", &makeAdapter<SoHashVblResize>,
+    {"so-hash-vbl-resize", &makeAdapter<SoHashVbl>,
      "split-ordered hash over VBL, grow+shrink index; substrate=hash/flat "
      "domain=ebr lock=tas keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-vbl-vbr-resize", &makeAdapter<SoHashVblVbrResize>,
+    {"so-hash-vbl-vbr-resize", &makeAdapter<SoHashVblVbr>,
      "split-ordered hash over VBL+VBR, grow+shrink index; "
      "substrate=hash/flat domain=vbr lock=tas keys=[0,2^62)",
      /*FullKeyDomain=*/false},
-    {"so-hash-hm-hp-resize", &makeAdapter<SoHashHmHpResize>,
+    {"so-hash-hm-hp-resize", &makeAdapter<SoHashHmHp>,
      "split-ordered hash over Harris-Michael+HP, grow+shrink index; "
      "substrate=hash/flat domain=hp lock=none keys=[0,2^62)",
      /*FullKeyDomain=*/false},

@@ -16,10 +16,11 @@
 ///
 /// The substrate is pluggable: any list exposing the BucketHandle hooks
 /// (insertFrom / removeFrom / containsFrom / getOrInsertSentinelFrom)
-/// works. The repo registers backends on HarrisMichaelList ("so-hash-hm"),
-/// VblList ("so-hash-vbl") and HarrisMichaelListHp ("so-hash-hm-hp"), so
-/// the paper's concurrency-optimal VBL synchronization carries over to
-/// the sharded structure unchanged.
+/// works. The repo registers backends on HarrisMichaelList over EBR
+/// ("so-hash-hm-resize") and hazard pointers ("so-hash-hm-hp-resize"),
+/// and on VblList over EBR ("so-hash-vbl-resize") and VBR
+/// ("so-hash-vbl-vbr-resize"), so the paper's concurrency-optimal VBL
+/// synchronization carries over to the sharded structure unchanged.
 ///
 /// Bucket-index resizing — the grace-period table swap: the index is an
 /// immutable-capacity array of atomic slots. A resize copies the
@@ -46,22 +47,23 @@
 /// therefore validates dummy addressability against the monotonic
 /// high-water capacity (MaxCapacityEver), not the current capacity.
 ///
-/// Hazard-pointer substrates need one extra discipline: the index
-/// pointer itself must sit in a hazard slot while dereferenced, and the
-/// substrate's per-operation guards share this thread's slot record —
-/// their destructors clear every slot, including ours. So the hash
-/// layer re-protects the index after every substrate call and, when the
-/// index moved meanwhile, skips the (now possibly freed) old array and
-/// keeps only the returned dummy handle, which is immortal and correct
+/// Hazard-pointer substrates (reclaim::IsHazardDomain) need one extra
+/// discipline: the index pointer itself must sit in a hazard slot
+/// (reclaim::HazardSlotIndex) while dereferenced, and the substrate's
+/// per-operation guards share this thread's slot record — their
+/// destructors clear every slot, including ours. So the hash layer
+/// re-protects the index after every substrate call and, when the index
+/// moved meanwhile, skips the (now possibly freed) old array and keeps
+/// only the returned dummy handle, which is immortal and correct
 /// independent of any index. See loadIndex/indexStillCurrent.
 ///
-/// When/whether to resize is the ResizePolicy carried by HashSetConfig
+/// When to resize is the policy carried by HashSetConfig
 /// (core/SetConfig.h): grow past GrowLoadFactor keys per bucket, shrink
-/// (if enabled) once occupancy falls below 1/ShrinkDivisor of the grow
-/// trigger — the hysteresis gap keeps a freshly swapped table from
-/// immediately qualifying for the opposite swap. Construction validates
-/// the config and refuses misconfiguration with a named
-/// HashSetConfigError instead of silently rounding.
+/// once occupancy falls below 1/ShrinkDivisor of the grow trigger — the
+/// hysteresis gap keeps a freshly swapped table from immediately
+/// qualifying for the opposite swap. Construction validates the config
+/// and refuses misconfiguration with a named HashSetConfigError instead
+/// of silently rounding.
 ///
 /// All shared accesses flow through the substrate's Policy, so the hash
 /// layer runs under the deterministic scheduler and the happens-before
@@ -74,6 +76,7 @@
 
 #include "core/SetConfig.h"
 #include "maps/SplitOrder.h"
+#include "reclaim/HazardPointerDomain.h"
 #include "reclaim/NodePool.h"
 #include "stats/Stats.h"
 #include "support/Compiler.h"
@@ -91,18 +94,7 @@
 namespace vbl {
 namespace maps {
 
-/// Default construction-time config source: the HashSetConfig defaults
-/// (grow-only, 16 initial buckets). Registry entries that want a
-/// different default-constructed shape (the `-resize` variants enable
-/// shrinking) pass their own provider type so SetAdapter's
-/// default-construction path keeps working.
-struct DefaultHashSetConfigProvider {
-  static HashSetConfig config() { return HashSetConfig{}; }
-};
-
-template <class SubstrateT,
-          class ConfigProviderT = DefaultHashSetConfigProvider>
-class SplitOrderedHashSet {
+template <class SubstrateT> class SplitOrderedHashSet {
 public:
   using Substrate = SubstrateT;
   using Reclaim = typename SubstrateT::Reclaim;
@@ -119,17 +111,7 @@ public:
     MaxCapacityEver.store(Cfg.InitialBuckets, std::memory_order_relaxed);
   }
 
-  SplitOrderedHashSet() : SplitOrderedHashSet(ConfigProviderT::config()) {}
-
-  /// Legacy shape: grow-only with the classic three knobs. Values must
-  /// be valid powers of two — the old silent round-up path is gone;
-  /// misconfiguration dies with a named HashSetConfigError.
-  explicit SplitOrderedHashSet(size_t InitialBuckets,
-                               size_t MaxLoadFactor = 4,
-                               size_t MaxBuckets = size_t(1) << 22)
-      : SplitOrderedHashSet(legacyConfig(ConfigProviderT::config(),
-                                         InitialBuckets, MaxLoadFactor,
-                                         MaxBuckets)) {}
+  SplitOrderedHashSet() : SplitOrderedHashSet(HashSetConfig{}) {}
 
   ~SplitOrderedHashSet() {
     BucketIndex::destroy(Index.load(std::memory_order_relaxed));
@@ -319,15 +301,8 @@ private:
     }
   };
 
-  /// Hazard-pointer guards expose slot-indexed protect(); epoch and
-  /// version guards do not (their mere existence is the protection).
-  static constexpr bool HasHazardGuard =
-      requires(Guard &G, const std::atomic<BucketIndex *> &Src) {
-        { G.protect(3u, Src) };
-      };
-  /// HarrisMichaelListHp uses slots 0 (curr) and 1 (prev); the index
-  /// takes the top slot so the two layers never collide.
-  static constexpr unsigned IndexSlot = 3;
+  /// The index needs its own hazard slot (see loadIndex).
+  static constexpr bool Hazard = reclaim::IsHazardDomain<Reclaim>;
 
   [[noreturn]] static void reportBadConfig(HashSetConfigError E) {
     std::fprintf(stderr,
@@ -343,29 +318,16 @@ private:
     return C;
   }
 
-  /// The legacy three-knob constructor overlaid on the provider's
-  /// config (so a shrink-enabled provider keeps its policy fields).
-  static HashSetConfig legacyConfig(HashSetConfig C, size_t InitialBuckets,
-                                    size_t MaxLoadFactor,
-                                    size_t MaxBuckets) {
-    C.InitialBuckets = InitialBuckets;
-    C.GrowLoadFactor = MaxLoadFactor;
-    C.MaxBuckets = MaxBuckets;
-    if (C.MinBuckets > InitialBuckets)
-      C.MinBuckets = 1;
-    return C;
-  }
-
   /// Current index, safe to dereference for the rest of the operation —
   /// provided no substrate call intervenes (see indexStillCurrent). HP
   /// publishes the pointer in a hazard slot; everywhere else the
   /// operation guard already covers any index the op can observe.
   BucketIndex *loadIndex(Guard &G) {
-    if constexpr (HasHazardGuard) {
+    if constexpr (Hazard) {
       // protect() loops store-then-revalidate internally until the slot
       // and the source agree, so the returned pointer cannot be freed
       // while the slot holds it.
-      return G.protect(IndexSlot, Index);
+      return G.protect(reclaim::HazardSlotIndex, Index);
     } else {
       (void)G;
       return Policy::read(Index, std::memory_order_acquire, &Index,
@@ -381,8 +343,8 @@ private:
   /// guard kept \p I alive, and writing a memo into a displaced index
   /// is merely wasted work, so "still current" is always true.
   bool indexStillCurrent(BucketIndex *I, Guard &G) {
-    if constexpr (HasHazardGuard) {
-      return G.protect(IndexSlot, Index) == I;
+    if constexpr (Hazard) {
+      return G.protect(reclaim::HazardSlotIndex, Index) == I;
     } else {
       (void)I;
       (void)G;
@@ -522,13 +484,11 @@ private:
   }
 
   /// Halves the bucket index once occupancy falls below the hysteresis
-  /// watermark (1/ShrinkDivisor of the grow trigger), if shrinking is
-  /// enabled. The dummies of buckets [Cap/2, Cap) stay in the list as
-  /// orphans — sentinels are never removed — and a later grow
-  /// re-memoizes them via get-or-insert agreement.
+  /// watermark (1/ShrinkDivisor of the grow trigger). The dummies of
+  /// buckets [Cap/2, Cap) stay in the list as orphans — sentinels are
+  /// never removed — and a later grow re-memoizes them via get-or-insert
+  /// agreement.
   void maybeShrink(int64_t NewCount, Guard &G) {
-    if (!Cfg.EnableShrink)
-      return;
     BucketIndex *I = loadIndex(G);
     const size_t Cap = Policy::readValue(I->Capacity, I);
     if (Cap <= Cfg.MinBuckets)

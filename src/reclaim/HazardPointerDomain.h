@@ -46,9 +46,11 @@ namespace reclaim {
 /// Guard gives RAII slot management for one operation.
 class HazardPointerDomain {
 public:
+  /// Marker the IsHazardDomain trait detects (see below).
+  struct HazardReclaimTag {};
+
   static constexpr unsigned MaxThreads = 512;
-  /// Slots per thread. List traversals need three live protections
-  /// (prev, curr, succ); one spare for algorithm extensions.
+  /// Slots per thread; the assignment is HazardSlot* below.
   static constexpr unsigned SlotsPerThread = 4;
   /// Default retire-list headroom between scans; constructor-overridable
   /// so the amortization tests can run with tiny lists.
@@ -158,23 +160,6 @@ public:
       }
     }
 
-    /// Variant for mark-tagged pointer words (Harris-Michael): protects
-    /// the unmarked address while validating against the raw word.
-    template <class ClearFn>
-    void *protectWord(unsigned Slot, const std::atomic<uintptr_t> &Src,
-                      ClearFn StripTag) {
-      VBL_ASSERT(Slot < SlotsPerThread, "hazard slot out of range");
-      uintptr_t Word = Src.load(std::memory_order_acquire);
-      for (;;) {
-        void *Ptr = StripTag(Word);
-        Record->Hazards[Slot].store(Ptr, std::memory_order_seq_cst);
-        const uintptr_t Again = Src.load(std::memory_order_seq_cst);
-        if (StripTag(Again) == Ptr)
-          return Ptr;
-        Word = Again;
-      }
-    }
-
     /// Publishes an already-validated pointer (caller guarantees it is
     /// still reachable through some protected path).
     void set(unsigned Slot, void *Ptr) {
@@ -198,6 +183,25 @@ public:
 
   friend class Guard;
 };
+
+/// True for domains that protect individual pointers rather than whole
+/// operations: a reader must publish each pointer in a hazard slot and
+/// revalidate its source before dereferencing it. Structures branch on
+/// this at compile time (HarrisMichaelList's per-hop protection,
+/// SplitOrderedHashSet's index slot); epoch, leaky, VBR and tracking
+/// guards protect by their mere existence and need no hook.
+template <class DomainT>
+inline constexpr bool IsHazardDomain =
+    requires { typename DomainT::HazardReclaimTag; };
+
+/// Hazard slot assignment, shared by every structure over this domain.
+/// A list traversal holds curr and prev; the split-ordered hash layer
+/// protects its bucket index in the top slot, so the two layers never
+/// collide. Slot 2 is spare.
+inline constexpr unsigned HazardSlotCurr = 0;
+inline constexpr unsigned HazardSlotPrev = 1;
+inline constexpr unsigned HazardSlotIndex = 3;
+static_assert(HazardSlotIndex < HazardPointerDomain::SlotsPerThread);
 
 } // namespace reclaim
 } // namespace vbl

@@ -5,13 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Runs VblList, LazyList and HarrisMichaelList under AnalyzedPolicy
-/// through the shared scenario corpus and asserts the happens-before
-/// detector finds ZERO races in every explored interleaving: their
-/// relaxed accesses are confined to unpublished nodes, every
-/// publication is a release store/CAS, and every concurrent read is an
-/// acquire load or lock-protected — so no conflicting pair is left
-/// unordered.
+/// Runs VblList, LazyList and HarrisMichaelList (leaky and hazard
+/// pointers) under AnalyzedPolicy through the shared scenario corpus
+/// and asserts the happens-before detector finds ZERO races in every
+/// explored interleaving: their relaxed accesses are confined to
+/// unpublished nodes, every publication is a release store/CAS, and
+/// every concurrent read is an acquire load or lock-protected — so no
+/// conflicting pair is left unordered. An episode retires far fewer
+/// nodes than the hazard domain's scan threshold, so the HP case checks
+/// the protected traversal and its restarts, not frees.
 ///
 /// Exploration is capped well below the optimality test's budget: the
 /// point here is breadth across lists × scenarios, and a race in a
@@ -24,6 +26,7 @@
 #include "core/VblList.h"
 #include "lists/HarrisMichaelList.h"
 #include "lists/LazyList.h"
+#include "reclaim/HazardPointerDomain.h"
 #include "reclaim/LeakyDomain.h"
 #include "sched/AnalyzedPolicy.h"
 #include "sched/InterleavingExplorer.h"
@@ -73,6 +76,12 @@ TEST(CleanListsTest, HarrisMichaelListIsRaceFree) {
   expectRaceFreeCorpus<
       HarrisMichaelList<reclaim::LeakyDomain, AnalyzedPolicy>>(
       "HarrisMichaelList");
+}
+
+TEST(CleanListsTest, HarrisMichaelListHpIsRaceFree) {
+  expectRaceFreeCorpus<
+      HarrisMichaelList<reclaim::HazardPointerDomain, AnalyzedPolicy>>(
+      "HarrisMichaelList<HP>");
 }
 
 } // namespace

@@ -11,20 +11,25 @@
 /// scheduler step of EVERY explored interleaving, and asserts ZERO
 /// violations:
 ///
-///  - flat lists: VblList, LazyList, HarrisMichaelList, HarrisList,
-///    OptimisticList, HandOverHandList;
+///  - flat lists: VblList, LazyList, HarrisMichaelList (over the leaky
+///    and the hazard-pointer domain), HarrisList, OptimisticList,
+///    HandOverHandList;
 ///  - the unrolled VblChunkList for K in {1, 2, 7, 15} (K=1 maximizes
 ///    freeze/replace churn, K=2 mixes slot and structural paths, 7 and
 ///    15 cover multi-slot intervals with interior splits);
 ///  - the split-ordered hash set over both substrates, built with
-///    InitialBuckets=1 / MaxLoadFactor=1 so resizes and lazy dummy
+///    InitialBuckets=1 / GrowLoadFactor=1 so resizes and lazy dummy
 ///    splicing interleave with the flow snapshots.
 ///
 /// Episodes run under plain TracedPolicy — the oracle only needs the
 /// step gating, not the O(accesses^2) happens-before analysis — and
 /// LeakyDomain, so unlinked nodes keep their identity for the
-/// unlink-implies-marked clause. The default episode cap keeps PR runs
-/// fast; nightly CI deepens the exploration via VBL_EXPLORE_EPISODES.
+/// unlink-implies-marked clause. The hazard-pointer case keeps that
+/// identity too: an episode retires far fewer nodes than the domain's
+/// scan threshold, so nothing is freed mid-episode and the case checks
+/// the protected traversal and its restarts, not frees. The default
+/// episode cap keeps PR runs fast; nightly CI deepens the exploration
+/// via VBL_EXPLORE_EPISODES.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +41,7 @@
 #include "lists/LazyList.h"
 #include "lists/OptimisticList.h"
 #include "maps/SplitOrderedHashSet.h"
+#include "reclaim/HazardPointerDomain.h"
 #include "reclaim/LeakyDomain.h"
 #include "sched/InterleavingExplorer.h"
 #include "stats/Stats.h"
@@ -109,6 +115,12 @@ TEST(FlowCheckerTest, HarrisMichaelListIsFlowClean) {
       "HarrisMichaelList");
 }
 
+TEST(FlowCheckerTest, HarrisMichaelListHpIsFlowClean) {
+  expectFlowCleanLists<
+      HarrisMichaelList<reclaim::HazardPointerDomain, TracedPolicy>>(
+      "HarrisMichaelList<HP>");
+}
+
 TEST(FlowCheckerTest, HarrisListIsFlowClean) {
   expectFlowCleanLists<HarrisList<reclaim::LeakyDomain, TracedPolicy>>(
       "HarrisList");
@@ -147,8 +159,10 @@ TEST(FlowCheckerTest, ChunkListK15IsFlowClean) {
 
 template <class HashT> void expectFlowCleanHash(const char *SetName) {
   expectFlowCleanCorpus(SetName, hashSetScenarios(), [] {
-    return std::make_shared<HashT>(/*InitialBuckets=*/1,
-                                   /*MaxLoadFactor=*/1);
+    HashSetConfig C;
+    C.InitialBuckets = 1;
+    C.GrowLoadFactor = 1;
+    return std::make_shared<HashT>(C);
   });
 }
 

@@ -78,9 +78,9 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
           Scan.Lo = Key;
           Scan.Hi = Hi;
           Scan.Thread = T;
-          Scan.Invoke = nowNanos();
+          Scan.Invoke = fencedStamp();
           Set->rangeQuery(Key, Hi, Scan.Keys);
-          Scan.Response = nowNanos();
+          Scan.Response = fencedStamp();
           ScanLogs[T].push_back(std::move(Scan));
           continue;
         }
@@ -129,7 +129,7 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
   // The final snapshot must extend the history linearizably too: append
   // one contains per key and re-check (the sigma-bar(v) idea of §2.2).
   std::vector<CompletedOp> Extended = Recorder.merged();
-  const uint64_t End = nowNanos();
+  const uint64_t End = fencedStamp();
   const std::vector<SetKey> Final = Set->snapshot();
   std::vector<bool> Present(static_cast<size_t>(KeyRange), false);
   for (SetKey Key : Final)

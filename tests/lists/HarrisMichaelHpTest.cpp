@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Tests specific to the hazard-pointer Harris-Michael variant: besides
+/// Tests specific to HarrisMichaelList over hazard pointers: besides
 /// set semantics (already covered by the shared registry battery), the
 /// HP-specific property is that memory is actually recycled *during*
 /// the run with bounded garbage — something the epoch variant cannot
@@ -13,8 +13,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "lists/HarrisMichaelListHp.h"
+#include "lists/HarrisMichaelList.h"
 
+#include "reclaim/HazardPointerDomain.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
 
@@ -26,8 +27,12 @@
 
 using namespace vbl;
 
+namespace {
+using HpList = HarrisMichaelList<reclaim::HazardPointerDomain>;
+} // namespace
+
 TEST(HarrisMichaelHp, BasicSemantics) {
-  HarrisMichaelListHp List;
+  HpList List;
   EXPECT_FALSE(List.contains(5));
   EXPECT_TRUE(List.insert(5));
   EXPECT_FALSE(List.insert(5));
@@ -38,7 +43,7 @@ TEST(HarrisMichaelHp, BasicSemantics) {
 }
 
 TEST(HarrisMichaelHp, ReclaimsDuringTheRun) {
-  HarrisMichaelListHp List;
+  HpList List;
   // Far more toggles than the scan threshold: most retirements must be
   // freed while the test is still running.
   for (int I = 0; I != 20000; ++I) {
@@ -52,7 +57,7 @@ TEST(HarrisMichaelHp, ReclaimsDuringTheRun) {
 }
 
 TEST(HarrisMichaelHp, BoundedGarbageUnderChurn) {
-  HarrisMichaelListHp List;
+  HpList List;
   for (int I = 0; I != 50000; ++I) {
     List.insert(static_cast<SetKey>(I % 64));
     List.remove(static_cast<SetKey>((I + 32) % 64));
@@ -64,7 +69,7 @@ TEST(HarrisMichaelHp, BoundedGarbageUnderChurn) {
 }
 
 TEST(HarrisMichaelHp, ConcurrentAccountingAndSafety) {
-  HarrisMichaelListHp List;
+  HpList List;
   constexpr unsigned NumThreads = 4;
   SpinBarrier Barrier(NumThreads);
   std::atomic<long> Balance{0};
@@ -101,7 +106,7 @@ TEST(HarrisMichaelHp, ReaderNeverSeesRecycledNode) {
   // Heavy remove/insert churn of one key while readers hammer
   // contains: any use-after-free would trip ASan-less too via the
   // val/next invariant checks inside contains' find loop.
-  HarrisMichaelListHp List;
+  HpList List;
   for (SetKey Key = 0; Key != 8; ++Key)
     List.insert(Key);
   std::atomic<bool> Stop{false};

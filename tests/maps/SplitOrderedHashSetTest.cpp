@@ -18,8 +18,8 @@
 #include "core/VblList.h"
 #include "lin/LinChecker.h"
 #include "lists/HarrisMichaelList.h"
-#include "lists/HarrisMichaelListHp.h"
 #include "lists/SetInterface.h"
+#include "reclaim/HazardPointerDomain.h"
 #include "reclaim/LeakyDomain.h"
 #include "reclaim/VbrDomain.h"
 #include "stats/Stats.h"
@@ -40,19 +40,25 @@ namespace {
 
 using HmHash = maps::SplitOrderedHashSet<HarrisMichaelList<>>;
 using VblHash = maps::SplitOrderedHashSet<VblList<>>;
-using HpHash = maps::SplitOrderedHashSet<HarrisMichaelListHp>;
+using HpHash = maps::SplitOrderedHashSet<
+    HarrisMichaelList<reclaim::HazardPointerDomain>>;
 using VbrHash = maps::SplitOrderedHashSet<VblList<reclaim::VbrDomain>>;
 
-/// Shrink-enabled config used by the churn tests: tiny table, load
-/// factor 1 (aggressive growth), minimal hysteresis so the drain phase
-/// walks the index back down.
-HashSetConfig churnConfig() {
+/// A table of \p InitialBuckets that doubles past \p GrowLoadFactor
+/// keys per bucket; the other fields keep their defaults.
+HashSetConfig tableConfig(size_t InitialBuckets, size_t GrowLoadFactor) {
   HashSetConfig C;
-  C.InitialBuckets = 1;
-  C.GrowLoadFactor = 1;
-  C.MinBuckets = 1;
+  C.InitialBuckets = InitialBuckets;
+  C.GrowLoadFactor = GrowLoadFactor;
+  return C;
+}
+
+/// Config used by the churn tests: tiny table, load factor 1
+/// (aggressive growth), minimal hysteresis so the drain phase walks the
+/// index back down.
+HashSetConfig churnConfig() {
+  HashSetConfig C = tableConfig(1, 1);
   C.ShrinkDivisor = 2;
-  C.EnableShrink = true;
   return C;
 }
 
@@ -148,7 +154,7 @@ TEST(SplitOrderedHashSetTest, BasicOpsHarrisMichaelHp) { basicOps<HpHash>(); }
 
 template <class HashT> void growthSplitsBuckets() {
   // Tiny table + load factor 1: every few inserts double the index.
-  HashT Set(/*InitialBuckets=*/1, /*MaxLoadFactor=*/1);
+  HashT Set(tableConfig(1, 1));
   EXPECT_EQ(Set.bucketCount(), 1u);
   constexpr SetKey N = 300;
   for (SetKey Key = 0; Key != N; ++Key)
@@ -177,7 +183,7 @@ TEST(SplitOrderedHashSetTest, GrowthSplitsBucketsHarrisMichaelHp) {
 }
 
 template <class HashT> void differentialVsStdSet(uint64_t Seed) {
-  HashT Set(/*InitialBuckets=*/2, /*MaxLoadFactor=*/2);
+  HashT Set(tableConfig(2, 2));
   std::set<SetKey> Model;
   Xoshiro256 Rng(Seed);
   for (int I = 0; I != 20000; ++I) {
@@ -210,8 +216,8 @@ TEST(SplitOrderedHashSetTest, DifferentialHarrisMichaelHp) {
   differentialVsStdSet<HpHash>(303);
 }
 
-/// Shrink-enabled differential: same model check, but the set breathes —
-/// the drain phases exercise maybeShrink against live lookups.
+/// Churn differential: same model check, but the set breathes — the
+/// drain phases exercise maybeShrink against live lookups.
 template <class HashT> void differentialWithShrink(uint64_t Seed) {
   HashT Set(churnConfig());
   std::set<SetKey> Model;
@@ -255,7 +261,7 @@ TEST(SplitOrderedHashSetTest, DifferentialShrinkVbl) {
 
 TEST(SplitOrderedHashSetTest, RegistryExposesHashSetsSeparately) {
   const auto HashNames = registeredHashSetNames();
-  ASSERT_EQ(HashNames.size(), 8u);
+  ASSERT_EQ(HashNames.size(), 4u);
   const auto ListNames = registeredSetNames();
   for (const std::string &Name : HashNames) {
     // Resolvable by name, but not enumerated with the full-domain lists
@@ -308,13 +314,15 @@ TEST(HashSetConfigTest, ValidateNamesEveryRejection) {
   C.GrowLoadFactor = 0;
   EXPECT_EQ(validateHashSetConfig(C), HashSetConfigError::ZeroLoadFactor);
 
-  C = HashSetConfig{};
-  C.EnableShrink = true;
-  C.ShrinkDivisor = 1;
-  EXPECT_EQ(validateHashSetConfig(C),
-            HashSetConfigError::ShrinkDivisorTooSmall);
-  // Without shrink the divisor is ignored.
-  C.EnableShrink = false;
+  // Every table shrinks, so a divisor without hysteresis is always
+  // refused.
+  for (size_t Divisor : {0, 1}) {
+    C = HashSetConfig{};
+    C.ShrinkDivisor = Divisor;
+    EXPECT_EQ(validateHashSetConfig(C),
+              HashSetConfigError::ShrinkDivisorTooSmall);
+  }
+  C.ShrinkDivisor = 2;
   EXPECT_EQ(validateHashSetConfig(C), HashSetConfigError::None);
 
   EXPECT_STREQ(hashSetConfigErrorName(HashSetConfigError::None), "None");
@@ -331,9 +339,9 @@ TEST(HashSetConfigTest, ValidateNamesEveryRejection) {
 // displaced segment flows through the substrate's reclamation domain.
 //===----------------------------------------------------------------===//
 
-/// Grows a shrink-enabled set to >= 256 buckets, drains it, and pulses
-/// a little churn so the final halvings run; asserts the index returns
-/// to the MinBuckets low watermark while every key stays correct.
+/// Grows a set to >= 256 buckets, drains it, and pulses a little churn
+/// so the final halvings run; asserts the index returns to the
+/// MinBuckets low watermark while every key stays correct.
 /// Returns counter deltas so each domain's test can assert on segment
 /// retirement its own way.
 template <class HashT> stats::Snapshot growDrainChurn(HashT &Set) {
@@ -414,7 +422,7 @@ TEST(SplitOrderedHashSetTest, ShrinkChurnLeakyBounded) {
 template <class HashT> void concurrentStress() {
   // Force aggressive concurrent splitting: tiny initial table, load
   // factor 1, keys spread across the whole domain.
-  HashT Set(/*InitialBuckets=*/1, /*MaxLoadFactor=*/1);
+  HashT Set(tableConfig(1, 1));
   constexpr unsigned Threads = 4;
   constexpr int OpsPerThread = 8000;
   constexpr uint64_t Range = 1024;
@@ -457,7 +465,7 @@ TEST(SplitOrderedHashSetTest, ConcurrentStressHarrisMichaelHp) {
   concurrentStress<HpHash>();
 }
 
-/// Phased concurrent churn against a shrink-enabled table: all threads
+/// Phased concurrent churn against a tiny-watermark table: all threads
 /// fill, then all drain, repeated — the table breathes under real
 /// parallelism while lookups race each swing.
 template <class HashT> void concurrentShrinkStress() {
@@ -554,14 +562,8 @@ void checkLinearizable(const std::string &Algo) {
   EXPECT_TRUE(Result.Ok) << Algo << ": " << Result.Message;
 }
 
-TEST(SplitOrderedHashSetTest, LinearizableHarrisMichael) {
-  checkLinearizable("so-hash-hm");
-}
-TEST(SplitOrderedHashSetTest, LinearizableVbl) {
-  checkLinearizable("so-hash-vbl");
-}
 TEST(SplitOrderedHashSetTest, LinearizableHarrisMichaelHp) {
-  checkLinearizable("so-hash-hm-hp");
+  checkLinearizable("so-hash-hm-hp-resize");
 }
 TEST(SplitOrderedHashSetTest, LinearizableHarrisMichaelResize) {
   checkLinearizable("so-hash-hm-resize");

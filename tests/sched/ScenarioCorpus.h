@@ -93,13 +93,13 @@ inline std::vector<Scenario> scenarios() {
 }
 
 /// Scenarios for the split-ordered hash sets (tests/maps). Driven
-/// against tables built with InitialBuckets=1, MaxLoadFactor=1 so that
+/// against tables built with InitialBuckets=1, GrowLoadFactor=1 so that
 /// episode inserts push the count over the load threshold and the
 /// bucket-index growth + lazy dummy splicing interleave with the other
 /// thread's operation — including the resize-vs-insert pairing the
 /// race detector must clear. Kept separate from scenarios(): the
 /// optimality theorem is about the flat lists, and the hash prefills
-/// are tuned to the tiny-table constructor.
+/// are tuned to the tiny table.
 inline std::vector<Scenario> hashSetScenarios() {
   return {
       // Prefill grows the table untraced; both traced inserts then
@@ -124,12 +124,12 @@ inline std::vector<Scenario> hashSetScenarios() {
   };
 }
 
-/// Scenarios for shrink-enabled hash tables (the so-hash-*-resize
-/// configuration): built with InitialBuckets=1, GrowLoadFactor=1,
-/// ShrinkDivisor=2, MinBuckets=1, so episode removes cross the shrink
-/// watermark and the halving index-swap interleaves with the other
-/// thread's operation — resize-vs-insert/remove, shrink-vs-contains,
-/// and both directions racing a range scan.
+/// Scenarios for the hash tables' shrink path: built with
+/// InitialBuckets=1, GrowLoadFactor=1, ShrinkDivisor=2, MinBuckets=1,
+/// so episode removes cross the shrink watermark and the halving
+/// index-swap interleaves with the other thread's operation —
+/// resize-vs-insert/remove, shrink-vs-contains, and both directions
+/// racing a range scan.
 inline std::vector<Scenario> hashResizeScenarios() {
   return {
       // Both inserts race to publish a doubled index on a table whose

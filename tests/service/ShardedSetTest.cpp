@@ -27,7 +27,6 @@
 #include "lin/LinChecker.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
-#include "support/Timing.h"
 
 #include <gtest/gtest.h>
 
@@ -41,7 +40,8 @@ using namespace vbl::service;
 
 namespace {
 
-const char *const Backends[] = {"vbl-vbr", "vbl-chunk", "so-hash-vbl-vbr"};
+const char *const Backends[] = {"vbl-vbr", "vbl-chunk",
+                                "so-hash-vbl-vbr-resize"};
 
 ShardedSet::Options options(const std::string &Backend, unsigned Shards,
                             unsigned Batch, CombineMode Mode) {
@@ -222,7 +222,7 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
       Xoshiro256 Rng(T + 91);
       Barrier.arriveAndWait();
       const auto Drain = [&] {
-        const uint64_t Response = nowNanos();
+        const uint64_t Response = lin::fencedStamp();
         for (const BatchOp &Done : Session.takeCompleted())
           Log.record(Done.Op, Done.Key, Done.Result, Done.Tag,
                      Response);
@@ -233,7 +233,7 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
         const SetOp Op = Kind == 0   ? SetOp::Insert
                          : Kind == 1 ? SetOp::Remove
                                      : SetOp::Contains;
-        Session.enqueue(Op, Key, nowNanos());
+        Session.enqueue(Op, Key, lin::fencedStamp());
         Drain();
       }
       Session.flush();

@@ -39,9 +39,9 @@ def bench_invocations(args):
         ("fig1_small_contended", common + ["--threads", args.threads]),
         # The 64k+ ranges stay out of the smoke suite: their windows are
         # dominated by prefill/cache state and too noisy to gate on.
-        # --phased adds the grow/shrink panel: grow-only vs
-        # resize-enabled tables under alternating fill/drain phases,
-        # the workload the index-swap machinery exists for.
+        # --phased adds the grow/shrink panel: the hash tables under
+        # alternating fill/drain phases, the workload the index-swap
+        # machinery exists for.
         ("hashset_scaling", common + ["--threads", args.threads,
                                       "--ranges", "1024,16384",
                                       "--latency",
