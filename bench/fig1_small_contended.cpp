@@ -35,7 +35,6 @@ int main(int Argc, char **Argv) {
   Flags.addString("algos", "vbl,lazy,harris-michael",
                   "comma-separated algorithms (first/second form the "
                   "ratio column)");
-  Flags.addString("csv", "", "optional path for the raw CSV series");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
                 "collect internal counters and report them per structure");
@@ -76,13 +75,6 @@ int main(int Argc, char **Argv) {
   P.measureAll(Base);
   P.print();
 
-  if (!Flags.getString("csv").empty()) {
-    CsvWriter Csv = Panel::makeCsv();
-    P.appendCsv(Csv);
-    if (!Csv.writeFile(Flags.getString("csv")))
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   Flags.getString("csv").c_str());
-  }
   if (!Flags.getString("json").empty()) {
     BenchJsonReport Report;
     Report.setContext("bench_binary", "fig1_small_contended");

@@ -34,7 +34,6 @@ int main(int Argc, char **Argv) {
   Flags.addInt("warmup-ms", 25, "warm-up before each window");
   Flags.addInt("repeats", 2, "repetitions per point (paper: 5)");
   Flags.addInt("seed", 42, "base RNG seed");
-  Flags.addString("csv", "", "optional path for the raw CSV series");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
                 "collect internal counters and report them per structure");
@@ -44,7 +43,6 @@ int main(int Argc, char **Argv) {
 
   const std::vector<std::string> Algos = {"vbl", "lazy",
                                           "harris-michael"};
-  CsvWriter Csv = Panel::makeCsv();
   BenchJsonReport Report;
   Report.setContext("bench_binary", "fig4_grid");
 
@@ -65,15 +63,10 @@ int main(int Argc, char **Argv) {
       Panel P(Title, Algos, Flags.getUnsignedList("threads"));
       P.measureAll(Base);
       P.print();
-      P.appendCsv(Csv);
       P.appendJson(Report, Base);
     }
   }
 
-  if (!Flags.getString("csv").empty() &&
-      !Csv.writeFile(Flags.getString("csv")))
-    std::fprintf(stderr, "warning: could not write %s\n",
-                 Flags.getString("csv").c_str());
   if (!Flags.getString("json").empty() &&
       !Report.writeFile(Flags.getString("json")))
     return 1;

@@ -177,7 +177,6 @@ int main(int Argc, char **Argv) {
                   "vbl-chunk,vbl,vbl-chunk-k15,harris-michael,"
                   "skiplist-lazy",
                   "comma-separated registry names to sweep");
-  Flags.addString("csv", "", "optional path for the raw CSV series");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
                 "collect scan.{retries,fallbacks,keys_returned} and "
@@ -201,7 +200,6 @@ int main(int Argc, char **Argv) {
   }
   BenchJsonReport Report;
   Report.setContext("bench_binary", "range_scan");
-  CsvWriter Csv = Panel::makeCsv();
 
   for (unsigned Range : Flags.getUnsignedList("ranges")) {
     for (unsigned ScanPercent : Flags.getUnsignedList("scan-percents")) {
@@ -247,7 +245,6 @@ int main(int Argc, char **Argv) {
           }
         }
         P.print();
-        P.appendCsv(Csv);
         P.appendJson(Report, Base);
       }
     }
@@ -256,10 +253,6 @@ int main(int Argc, char **Argv) {
   std::printf("\n(vbl-chunk/vbl is the chunked-scan speedup; it should "
               "grow with scan length and scan share — the point-only "
               "panels pin the chunk protocol's baseline cost)\n");
-  if (!Flags.getString("csv").empty() &&
-      !Csv.writeFile(Flags.getString("csv")))
-    std::fprintf(stderr, "warning: could not write %s\n",
-                 Flags.getString("csv").c_str());
   if (!Flags.getString("json").empty() &&
       !Report.writeFile(Flags.getString("json")))
     return 1;

@@ -9,7 +9,7 @@
 /// TrafficGen model (Zipfian skew, millions of simulated sessions,
 /// optional open-loop bursts and a time-varying update mix) instead of
 /// the synchrobench uniform loop. Sweeps access disciplines
-/// (direct / batched / flat-combined / adaptive) per backend and skew,
+/// (direct / batched / flat-combined) per backend and skew,
 /// and reports throughput AND completion-latency percentiles (p50 /
 /// p99 / p999) — a batched op's latency is measured enqueue to
 /// flush-return, so queue dwell is part of the tail, not hidden.
@@ -96,9 +96,6 @@ bool parseMode(const std::string &Text, unsigned Batch, ModeSpec &Spec) {
     Spec = {"combine", 1, CombineMode::On};
   else if (Text == "combine-batch")
     Spec = {"combine-b" + std::to_string(Batch), Batch, CombineMode::On};
-  else if (Text == "adaptive")
-    Spec = {"adaptive-b" + std::to_string(Batch), Batch,
-            CombineMode::Adaptive};
   else
     return false;
   return true;
@@ -227,7 +224,7 @@ int main(int Argc, char **Argv) {
   Flags.addInt("sessions", 4096, "simulated client sessions (total)");
   Flags.addInt("batch", 16, "ops per (session, shard) batch");
   Flags.addString("modes", "direct,batch,combine-batch",
-                  "disciplines: direct,batch,combine,combine-batch,adaptive");
+                  "disciplines: direct,batch,combine,combine-batch");
   Flags.addInt("duration-ms", 120, "measured window");
   Flags.addInt("warmup-ms", 40, "unmeasured warmup");
   Flags.addInt("repeats", 3, "repetitions per point");

@@ -56,7 +56,7 @@ int main(int Argc, char **Argv) {
     char Title[96];
     std::snprintf(Title, sizeof(Title), "range %u, %u%% updates", Range,
                   Base.UpdatePercent);
-    Panel P(Title, {"skiplist-lazy", "vbl", "bst-tombstone", "lazy"},
+    Panel P(Title, {"skiplist-lazy", "vbl", "lazy"},
             Flags.getUnsignedList("threads"));
     P.measureAll(Base);
     P.print();

@@ -141,7 +141,6 @@ int main(int Argc, char **Argv) {
   Flags.addInt("warmup-ms", 25, "warm-up before each window");
   Flags.addInt("repeats", 2, "repetitions per point");
   Flags.addInt("seed", 42, "base RNG seed");
-  Flags.addString("csv", "", "optional path for the raw CSV series");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
                 "collect internal counters and report them per structure");
@@ -157,7 +156,6 @@ int main(int Argc, char **Argv) {
 
   BenchJsonReport Report;
   Report.setContext("bench_binary", "unrolled_crossover");
-  CsvWriter Csv = Panel::makeCsv();
 
   for (unsigned Range : Flags.getUnsignedList("ranges")) {
     WorkloadConfig Base;
@@ -183,7 +181,6 @@ int main(int Argc, char **Argv) {
             Flags.getUnsignedList("threads"));
     P.measureAll(Base);
     P.print();
-    P.appendCsv(Csv);
     P.appendJson(Report, Base);
   }
 
@@ -236,10 +233,6 @@ int main(int Argc, char **Argv) {
       }
     }
   }
-  if (!Flags.getString("csv").empty() &&
-      !Csv.writeFile(Flags.getString("csv")))
-    std::fprintf(stderr, "warning: could not write %s\n",
-                 Flags.getString("csv").c_str());
   if (!Flags.getString("json").empty() &&
       !Report.writeFile(Flags.getString("json")))
     return 1;

@@ -21,29 +21,7 @@
 #include <cstdint>
 #include <limits>
 
-/// Node alignment knob. 64 (one node per cache line) avoids false
-/// sharing between a node's lock/mark word and its neighbour; 32 packs
-/// two nodes per line, halving footprint and doubling the hit rate of a
-/// sequential traversal at the cost of cross-node interference under
-/// write contention. The default follows the measurement recorded in
-/// EXPERIMENTS.md ("Memory subsystem"): at the paper's contended small
-/// ranges the two layouts are within noise single-threaded, and 64 wins
-/// once writers contend, so the cache-line layout is the default.
-/// Override with -DVBL_NODE_ALIGN=32 to get the packed layout.
-#ifndef VBL_NODE_ALIGN
-#define VBL_NODE_ALIGN 64
-#endif
-
 namespace vbl {
-
-/// Alignment applied to every list node type (`alignas(NodeAlignBytes)`).
-inline constexpr unsigned NodeAlignBytes = VBL_NODE_ALIGN;
-static_assert(NodeAlignBytes >= alignof(std::int64_t) &&
-                  (NodeAlignBytes & (NodeAlignBytes - 1)) == 0,
-              "VBL_NODE_ALIGN must be a power of two >= 8");
-static_assert(NodeAlignBytes <= CacheLineBytes,
-              "VBL_NODE_ALIGN above a cache line buys nothing and breaks "
-              "the node pool's slab carving");
 
 /// Element type of the integer set. 64-bit so benchmark key ranges and
 /// hash-expanded test keys never collide with the sentinels.

@@ -67,10 +67,9 @@ class VblList {
   /// re-enter from a never-retired anchor.
   static constexpr bool Versioned = reclaim::IsVersionedDomain<ReclaimT>;
 
-  /// NodeAlignBytes (core/SetConfig.h) picks between one-node-per-cache-
-  /// line (64, the measured default: no false sharing between a locked
-  /// node and its neighbours) and packed two-per-line (32).
-  struct alignas(NodeAlignBytes) Node {
+  /// One node per cache line: no false sharing between a locked node
+  /// and its neighbours (EXPERIMENTS.md, "Memory subsystem").
+  struct alignas(CacheLineBytes) Node {
     explicit Node(SetKey Val) : Val(Val) {}
 
     /// Immutable for the node's lifetime under grace-period domains;

@@ -130,25 +130,6 @@ void Panel::print() const {
   }
 }
 
-CsvWriter Panel::makeCsv() {
-  return CsvWriter(
-      {"panel", "algorithm", "threads", "mops_mean", "mops_stddev"});
-}
-
-void Panel::appendCsv(CsvWriter &Csv) const {
-  for (size_t T = 0; T != ThreadCounts.size(); ++T) {
-    for (size_t A = 0; A != Algorithms.size(); ++A) {
-      const SampleStats &Stats = Results[T][A];
-      if (Stats.empty())
-        continue;
-      Csv.addRow({Title, Algorithms[A],
-                  CsvWriter::cell(static_cast<long long>(ThreadCounts[T])),
-                  CsvWriter::cell(Stats.mean() * 1e-6),
-                  CsvWriter::cell(Stats.stddev() * 1e-6)});
-    }
-  }
-}
-
 void Panel::appendJson(BenchJsonReport &Report,
                        const WorkloadConfig &Base) const {
   for (size_t T = 0; T != ThreadCounts.size(); ++T) {

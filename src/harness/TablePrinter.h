@@ -9,7 +9,7 @@
 /// Renders one benchmark panel the way the paper's figures are read:
 /// one row per thread count, one column per algorithm, cells in Mops/s,
 /// plus derived ratio columns (e.g. vbl/lazy, the paper's headline
-/// 1.6x). Also emits the raw series as CSV for external plotting.
+/// 1.6x).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 
 #include "harness/BenchJson.h"
 #include "harness/Runner.h"
-#include "support/Csv.h"
 
 #include <string>
 #include <vector>
@@ -50,13 +49,6 @@ public:
   /// more algorithms are present the ratio first/second is appended —
   /// the paper's speedup column.
   void print() const;
-
-  /// Appends this panel's series to a CSV (columns: panel, algorithm,
-  /// threads, mops_mean, mops_stddev).
-  void appendCsv(CsvWriter &Csv) const;
-
-  /// Header for appendCsv output.
-  static CsvWriter makeCsv();
 
   /// Appends this panel's series as vbl-bench-v1 records (bench = the
   /// panel title; latency fields null — the sweep measures throughput

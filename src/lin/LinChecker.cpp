@@ -42,7 +42,50 @@ public:
           std::min(SuffixMinResp[I], Ops[I - 1].Response);
   }
 
-  bool run() { return dfs(0, {}, InitialPresent); }
+  /// Depth-first over linearization prefixes with an explicit stack:
+  /// a history linearizes one op per level, so recursion would need a
+  /// C++ frame per op of the key (thousands for a long toggle chain).
+  /// Candidates are tried in the same order as a recursive search
+  /// would: remaining holes ascending, then ops from the frontier on.
+  bool run() {
+    std::vector<Frame> Stack;
+    if (enter(Stack, 0, {}, InitialPresent))
+      return true;
+    while (!Stack.empty()) {
+      Frame &F = Stack.back();
+      size_t I;
+      if (F.Next < F.Holes.size()) {
+        I = F.Holes[F.Next++];
+        if (Ops[I].Invoke > F.MinResp)
+          continue;
+      } else {
+        I = F.Frontier + (F.Next - F.Holes.size());
+        if (I == Ops.size() || Ops[I].Invoke > F.MinResp) {
+          Stack.pop_back(); // Every candidate failed.
+          continue;
+        }
+        ++F.Next;
+      }
+      bool NextPresent = F.Present;
+      if (!applyOp(Ops[I], F.Present, NextPresent))
+        continue;
+      std::vector<uint32_t> Holes = F.Holes;
+      size_t Frontier = F.Frontier;
+      if (I < Frontier) {
+        // I was a hole.
+        Holes.erase(std::find(Holes.begin(), Holes.end(),
+                              static_cast<uint32_t>(I)));
+      } else {
+        // Ops [Frontier, I) were skipped over: they become holes.
+        for (size_t J = Frontier; J != I; ++J)
+          Holes.push_back(static_cast<uint32_t>(J));
+        Frontier = I + 1;
+      }
+      if (enter(Stack, Frontier, std::move(Holes), NextPresent))
+        return true;
+    }
+    return false;
+  }
 
 private:
   /// Applies one operation's contract to the presence bit. Returns
@@ -97,46 +140,34 @@ private:
     }
   };
 
-  /// Linearizes op \p I from state (Frontier, Holes): ops in Holes and
-  /// ops at indices >= Frontier are remaining.
-  bool linearize(size_t I, size_t Frontier, std::vector<uint32_t> Holes,
-                 bool Present) {
-    bool NextPresent = Present;
-    if (!applyOp(Ops[I], Present, NextPresent))
-      return false;
-    if (I < Frontier) {
-      // I was a hole.
-      Holes.erase(std::find(Holes.begin(), Holes.end(),
-                            static_cast<uint32_t>(I)));
-      return dfs(Frontier, std::move(Holes), NextPresent);
-    }
-    // Ops [Frontier, I) were skipped over: they become holes.
-    for (size_t J = Frontier; J != I; ++J)
-      Holes.push_back(static_cast<uint32_t>(J));
-    return dfs(I + 1, std::move(Holes), NextPresent);
-  }
+  /// One search level: the state (ops in Holes and ops at indices
+  /// >= Frontier are remaining) and the next candidate to linearize.
+  /// Next < Holes.size() indexes Holes; beyond that it walks the ops
+  /// from Frontier on.
+  struct Frame {
+    size_t Frontier;
+    std::vector<uint32_t> Holes; // Sorted.
+    bool Present;
+    /// An op can be linearized first iff it is invoked before every
+    /// remaining op's response (Wing-Gong candidate rule).
+    uint64_t MinResp;
+    size_t Next;
+  };
 
-  bool dfs(size_t Frontier, std::vector<uint32_t> Holes, bool Present) {
+  /// Enters state (Frontier, Holes, Present): returns true if it
+  /// completes a linearization, otherwise pushes its frame unless the
+  /// state was explored (and failed) before.
+  bool enter(std::vector<Frame> &Stack, size_t Frontier,
+             std::vector<uint32_t> Holes, bool Present) {
     if (Frontier == Ops.size() && Holes.empty())
       return true;
     std::sort(Holes.begin(), Holes.end());
     if (!Visited.insert({Frontier, Holes, Present}).second)
-      return false; // Explored (and failed) before.
-
-    // An op can be linearized first iff it is invoked before every
-    // remaining op's response (Wing-Gong candidate rule).
+      return false;
     uint64_t MinResp = SuffixMinResp[Frontier];
     for (uint32_t Hole : Holes)
       MinResp = std::min(MinResp, Ops[Hole].Response);
-
-    for (uint32_t Hole : Holes)
-      if (Ops[Hole].Invoke <= MinResp &&
-          linearize(Hole, Frontier, Holes, Present))
-        return true;
-    for (size_t I = Frontier;
-         I != Ops.size() && Ops[I].Invoke <= MinResp; ++I)
-      if (linearize(I, Frontier, Holes, Present))
-        return true;
+    Stack.push_back({Frontier, std::move(Holes), Present, MinResp, 0});
     return false;
   }
 

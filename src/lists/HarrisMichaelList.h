@@ -50,9 +50,9 @@ namespace vbl {
 template <class ReclaimT = reclaim::EpochDomain,
           class PolicyT = DirectPolicy>
 class HarrisMichaelList {
-  /// One node per cache line by default (NodeAlignBytes, SetConfig.h) so
-  /// a CAS on one node's tagged word never invalidates a neighbour.
-  struct alignas(NodeAlignBytes) Node {
+  /// One node per cache line so a CAS on one node's tagged word never
+  /// invalidates a neighbour.
+  struct alignas(CacheLineBytes) Node {
     explicit Node(SetKey Val) : Val(Val) {}
 
     const SetKey Val;

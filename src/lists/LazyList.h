@@ -355,9 +355,9 @@ public:
   }
 
 private:
-  /// One node per cache line by default (NodeAlignBytes, SetConfig.h):
-  /// a locked/marked node does not invalidate its neighbours' lines.
-  struct alignas(NodeAlignBytes) Node {
+  /// One node per cache line: a locked/marked node does not invalidate
+  /// its neighbours' lines.
+  struct alignas(CacheLineBytes) Node {
     explicit Node(SetKey Val) : Val(Val) {}
 
     /// Immutable per incarnation; atomic under VBR where a revival

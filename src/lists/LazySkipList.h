@@ -298,7 +298,7 @@ private:
   /// Towers span multiple cache lines regardless (MaxLevel next
   /// pointers); aligning the base still keeps the hot header fields
   /// (Val, Marked, FullyLinked, lock, levels 0-4) on one line.
-  struct alignas(NodeAlignBytes) Node {
+  struct alignas(CacheLineBytes) Node {
     Node(SetKey Val, int TopLevel) : Val(Val), TopLevel(TopLevel) {}
 
     const SetKey Val;

@@ -236,8 +236,8 @@ public:
   }
 
 private:
-  /// One node per cache line by default (NodeAlignBytes, SetConfig.h).
-  struct alignas(NodeAlignBytes) Node {
+  /// One node per cache line.
+  struct alignas(CacheLineBytes) Node {
     explicit Node(SetKey Val) : Val(Val) {}
 
     const SetKey Val;

@@ -11,17 +11,14 @@
 #include "core/VblList.h"
 #include "lists/CoarseList.h"
 #include "lists/HandOverHandList.h"
-#include "lists/HarrisList.h"
 #include "lists/HarrisMichaelList.h"
 #include "lists/LazyList.h"
 #include "lists/LazySkipList.h"
 #include "lists/OptimisticList.h"
-#include "lists/TombstoneBst.h"
 #include "maps/SplitOrderedHashSet.h"
 #include "reclaim/HazardPointerDomain.h"
 #include "reclaim/LeakyDomain.h"
 #include "reclaim/VbrDomain.h"
-#include "sync/VersionedLock.h"
 
 #include <algorithm>
 #include <utility>
@@ -65,14 +62,11 @@ using VblNodeAware =
     VblList<reclaim::EpochDomain, DirectPolicy, TasLock,
             /*RestartFromPrev=*/true, /*ValueAware=*/false>;
 using VblTtas = VblList<reclaim::EpochDomain, DirectPolicy, TtasLock>;
-using VblVersioned =
-    VblList<reclaim::EpochDomain, DirectPolicy, VersionedLock>;
 using LazyDefault = LazyList<>;
 using LazyLeaky = LazyList<reclaim::LeakyDomain>;
 using HarrisMichaelDefault = HarrisMichaelList<>;
 using HarrisMichaelLeaky = HarrisMichaelList<reclaim::LeakyDomain>;
 using HarrisMichaelHp = HarrisMichaelList<reclaim::HazardPointerDomain>;
-using HarrisDefault = HarrisList<>;
 using OptimisticDefault = OptimisticList<>;
 using HandOverHandDefault = HandOverHandList<>;
 // Unrolled chunked VBL (core/VblChunkList.h). K=7 fills one 64-byte key
@@ -110,8 +104,6 @@ static const RegistryEntry Registry[] = {
      "lazy list (Heller et al.); substrate=flat domain=ebr lock=tas"},
     {"harris-michael", &makeAdapter<HarrisMichaelDefault>,
      "Harris-Michael CAS list; substrate=flat domain=ebr lock=none"},
-    {"harris", &makeAdapter<HarrisDefault>,
-     "Harris list (deferred unlink); substrate=flat domain=ebr lock=none"},
     {"optimistic", &makeAdapter<OptimisticDefault>,
      "optimistic re-traversal validation; substrate=flat domain=ebr "
      "lock=tas"},
@@ -137,9 +129,6 @@ static const RegistryEntry Registry[] = {
     {"vbl-ttas", &makeAdapter<VblTtas>,
      "VBL over test-and-test-and-set locks; substrate=flat domain=ebr "
      "lock=ttas"},
-    {"vbl-versioned", &makeAdapter<VblVersioned>,
-     "VBL over seqlock-style versioned locks; substrate=flat domain=ebr "
-     "lock=versioned"},
     {"harris-michael-hp", &makeAdapter<HarrisMichaelHp>,
      "Harris-Michael over hazard pointers; substrate=flat domain=hp "
      "lock=none"},
@@ -157,8 +146,6 @@ static const RegistryEntry Registry[] = {
      "lock=chunk-seqlock"},
     {"skiplist-lazy", &makeAdapter<LazySkipList<>>,
      "lazy skip list; substrate=skiplist domain=ebr lock=tas"},
-    {"bst-tombstone", &makeAdapter<TombstoneBst<>>,
-     "tombstone-delete BST; substrate=bst domain=ebr lock=tas"},
     {"vbl-vbr", &makeAdapter<VblVbr>,
      "VBL over version-based reclamation; substrate=flat domain=vbr "
      "lock=tas"},

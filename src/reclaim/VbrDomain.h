@@ -106,7 +106,7 @@ public:
   /// Upper bound on concurrently attached threads (slots recycle).
   static constexpr unsigned MaxThreads = 512;
   /// One header line in front of every node keeps the node's own
-  /// alignment (NodeAlignBytes == CacheLineBytes) intact.
+  /// cache-line alignment intact.
   static constexpr size_t HeaderBytes = CacheLineBytes;
   /// All VBR blocks are line-aligned: the pool's class ladder then
   /// guarantees the node at +HeaderBytes is line-aligned too.

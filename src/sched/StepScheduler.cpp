@@ -7,8 +7,100 @@
 
 #include "sched/StepScheduler.h"
 
+#include "sync/SpinLocks.h"
+
+#include <linux/futex.h>
+#include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 using namespace vbl;
 using namespace vbl::sched;
+
+namespace {
+
+// When a wait spins. A step lasts microseconds, while waking a thread
+// parked on an idle CPU costs tens of them, so on a host with idle
+// cores a waiter should spin. On an oversubscribed host the partner is
+// often off-CPU, and a spinning waiter burns the CPU it queues for, so
+// waiters should sleep at once. Prompt waits tell the two apart: the
+// worker was awake when stepped, so it misses the spin only when it is
+// descheduled, which on an idle host is rare (a worker thread still
+// starting up) and with eight explorers on four cores is common.
+// SpinCredit rises by one per prompt wait the spin answered and falls
+// by CreditPerMiss per one it did not, so spinning holds while fewer
+// than one in five miss. While the credit is spent, waits go straight
+// to yielding and every ProbePeriod-th one re-arms it, so a host that
+// has gone idle again is noticed. The constants were tuned on a
+// 4-vCPU Xeon VM, where SpinPauses pause instructions take 12 us.
+constexpr uint32_t SpinPauses = 512;
+constexpr uint32_t CreditMax = 64;
+constexpr uint32_t CreditPerMiss = 4;
+constexpr uint32_t ProbePeriod = 1024;
+// Yields before a sleep. A post often queues the woken partner on the
+// poster's own CPU; yielding lets it run there, and its answer then
+// needs neither a sleep nor a second wake. With eight explorers on the
+// four vCPUs, four yields beat none by 14% and sixteen by 7%.
+constexpr uint32_t SleepYields = 4;
+
+// Shared by every handoff in the process; lossy updates are harmless.
+std::atomic<uint32_t> SpinCredit{CreditMax};
+std::atomic<uint32_t> WaitsSinceProbe{0};
+
+/// Spins until \p Posted holds, while spinning has credit; returns
+/// whether it held. Only prompt waits move the credit.
+template <class PostedFn> bool spinFor(PostedFn Posted, bool Prompt) {
+  const uint32_t Credit = SpinCredit.load(std::memory_order_relaxed);
+  if (Credit == 0) {
+    const uint32_t Waits = WaitsSinceProbe.load(std::memory_order_relaxed);
+    WaitsSinceProbe.store(Waits + 1 == ProbePeriod ? 0 : Waits + 1,
+                          std::memory_order_relaxed);
+    if (Waits + 1 == ProbePeriod)
+      SpinCredit.store(CreditMax, std::memory_order_relaxed);
+    return false;
+  }
+  for (uint32_t I = 0; I != SpinPauses; ++I) {
+    if (Posted()) {
+      if (Prompt && Credit != CreditMax)
+        SpinCredit.store(Credit + 1, std::memory_order_relaxed);
+      return true;
+    }
+    cpuRelax();
+  }
+  if (Prompt)
+    SpinCredit.store(Credit > CreditPerMiss ? Credit - CreditPerMiss : 0,
+                     std::memory_order_relaxed);
+  return false;
+}
+
+} // namespace
+
+bool StepScheduler::Handoff::post() {
+  if (State.exchange(Posted, std::memory_order_acq_rel) != Sleeping)
+    return false;
+  syscall(SYS_futex, &State, FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
+  return true;
+}
+
+void StepScheduler::Handoff::wait(bool Prompt) {
+  bool Arrived = spinFor([this] { return posted(); }, Prompt);
+  for (uint32_t I = 0; I != SleepYields && !Arrived; ++I) {
+    sched_yield();
+    Arrived = posted();
+  }
+  uint32_t Seen = Empty;
+  // Seen comes back Posted when the post landed after the last poll.
+  if (!Arrived && State.compare_exchange_strong(Seen, Sleeping,
+                                                std::memory_order_acquire,
+                                                std::memory_order_acquire)) {
+    // Returns on a wake, at once if State moved on, or spuriously.
+    do
+      syscall(SYS_futex, &State, FUTEX_WAIT_PRIVATE, Sleeping, nullptr,
+              nullptr, 0);
+    while (!posted());
+  }
+  State.store(Empty, std::memory_order_relaxed);
+}
 
 StepScheduler::StepScheduler(std::vector<std::function<void()>> Bodies) {
   VBL_ASSERT(!Bodies.empty(), "episode needs at least one thread");
@@ -34,17 +126,17 @@ StepScheduler::~StepScheduler() {
 }
 
 void StepScheduler::workerMain(Worker &W) {
-  W.Go.acquire(); // First grant starts the body.
+  W.Go.wait(false); // First grant starts the body.
   TraceContext::current() = &W;
   W.Body();
   TraceContext::current() = nullptr;
   W.Finished.store(true, std::memory_order_release);
-  W.Done.release();
+  W.Done.post();
 }
 
 void StepScheduler::Worker::yield() {
-  Done.release();
-  Go.acquire();
+  Done.post();
+  Go.wait(false);
 }
 
 void StepScheduler::Worker::record(Event E) {
@@ -55,8 +147,8 @@ void StepScheduler::Worker::record(Event E) {
 
 void StepScheduler::Worker::blockOnLock(const void *LockAddr) {
   BlockedOn.store(LockAddr, std::memory_order_release);
-  Done.release(); // End the step that discovered the held lock.
-  Go.acquire();   // Parked until noteLockReleased + a fresh grant.
+  Done.post();    // End the step that discovered the held lock.
+  Go.wait(false); // Parked until noteLockReleased + a fresh grant.
 }
 
 void StepScheduler::Worker::noteLockReleased(const void *LockAddr) {
@@ -96,8 +188,8 @@ std::vector<unsigned> StepScheduler::runnableThreads() const {
 void StepScheduler::step(unsigned Thread) {
   VBL_ASSERT(runnable(Thread), "stepping a finished or blocked thread");
   Worker &W = *Workers[Thread];
-  W.Go.release();
-  W.Done.acquire();
+  const bool Woke = W.Go.post();
+  W.Done.wait(/*Prompt=*/!Woke);
 }
 
 bool StepScheduler::drain(size_t MaxSteps) {

@@ -28,8 +28,8 @@
 #include "support/Compiler.h"
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
-#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -82,9 +82,42 @@ public:
   std::vector<Event> opEndEvents() const;
 
 private:
+  /// One direction of the step token between the scheduler and one
+  /// worker: a binary event with one poster and one waiter that
+  /// strictly alternate, since the poster posts again only after the
+  /// waiter has consumed the post and handed the token back.
+  ///
+  /// Protocol on State (Empty, Posted, Sleeping):
+  ///   post: exchange Posted (release); if the old value was Sleeping,
+  ///         futex-wake the waiter.
+  ///   wait: poll for Posted with acquire loads (spinning, then
+  ///         yielding; StepScheduler.cpp says when); else CAS Empty to
+  ///         Sleeping and futex-wait while the value is Sleeping; then
+  ///         reset to Empty.
+  /// No wakeup is lost: the kernel blocks the waiter only if State
+  /// still holds Sleeping when it queues it, and a post that comes
+  /// later reads Sleeping from its exchange and wakes it.
+  class Handoff {
+  public:
+    /// Returns whether the waiter was asleep and had to be woken.
+    bool post();
+    /// \p Prompt marks a wait for the answer to a post that found its
+    /// partner awake (the scheduler waiting out one step of a running
+    /// worker), which should come within microseconds; how often it
+    /// does decides whether waits spin.
+    void wait(bool Prompt);
+    bool posted() const {
+      return State.load(std::memory_order_acquire) == Posted;
+    }
+
+  private:
+    enum : uint32_t { Empty, Posted, Sleeping };
+    std::atomic<uint32_t> State{Empty};
+  };
+
   /// Worker-side context. State fields are written only by the entity
   /// currently holding the token (worker during its step, scheduler or
-  /// the *releasing* worker otherwise); the semaphores provide the
+  /// the *releasing* worker otherwise); the handoffs provide the
   /// happens-before edges, atomics keep the accesses race-free.
   class Worker : public TraceContext {
   public:
@@ -96,8 +129,8 @@ private:
     StepScheduler *Parent = nullptr;
     std::function<void()> Body;
     std::thread Thread;
-    std::binary_semaphore Go{0};
-    std::binary_semaphore Done{0};
+    Handoff Go;
+    Handoff Done;
     std::atomic<bool> Finished{false};
     std::atomic<const void *> BlockedOn{nullptr};
   };

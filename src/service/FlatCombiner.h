@@ -17,8 +17,8 @@
 ///
 /// Correctness does not depend on combining being exclusive: the
 /// backend is a linearizable concurrent set, so ops applied by a
-/// combiner and ops applied directly (the adaptive degradation path for
-/// cold shards) interleave safely — which is exactly what the
+/// combiner and ops applied directly (the path of sessions beyond the
+/// slot array) interleave safely — which is exactly what the
 /// combiner-vs-direct handoff scenario explores under the deterministic
 /// scheduler. What combining buys is amortization, not safety.
 ///
@@ -123,41 +123,6 @@ public:
     }
   }
 
-  /// Direct path with a contention probe: applies the batch bypassing
-  /// the slots, and feeds the adaptive heat signal (another op already
-  /// in flight on this shard => the shard is contended and combining
-  /// would amortize). All probe state is CAS-updated so the traced
-  /// builds carry happens-before edges the race detector can see.
-  template <class PolicyT, class ApplyFn>
-  void executeDirect(ApplyFn &&Apply) {
-    uint32_t Cur =
-        PolicyT::read(InFlight, std::memory_order_acquire, this,
-                      MemField::Epoch);
-    while (!PolicyT::casStrong(InFlight, Cur, Cur + 1,
-                               std::memory_order_acq_rel, this,
-                               MemField::Epoch)) {
-    }
-    if (Cur > 0)
-      heatAdjust<PolicyT>(+HeatGain);
-    Apply();
-    Cur = PolicyT::read(InFlight, std::memory_order_acquire, this,
-                        MemField::Epoch);
-    while (!PolicyT::casStrong(InFlight, Cur, Cur - 1,
-                               std::memory_order_acq_rel, this,
-                               MemField::Epoch)) {
-    }
-  }
-
-  /// Adaptive-mode decision: combine once the heat crosses the
-  /// threshold. Heat rises on direct-path contention sightings and
-  /// decays when a combine round drains only its own batch (see
-  /// combineLocked), so a shard that goes cold degrades back to direct
-  /// access within a few rounds.
-  template <class PolicyT> bool shouldCombine() const {
-    return PolicyT::read(Heat, std::memory_order_acquire, this,
-                         MemField::Epoch) >= HeatThreshold;
-  }
-
 private:
   struct alignas(CacheLineBytes) Slot {
     std::atomic<BatchOp *> Ops{nullptr};
@@ -171,7 +136,6 @@ private:
   template <class PolicyT, class ApplyFn>
   void combineLocked(ApplyFn &&Apply) VBL_REQUIRES(CombinerLock) {
     uint64_t RoundOps = 0;
-    unsigned DrainedSlots = 0;
     for (unsigned Pass = 0; Pass != MaxCombinePasses; ++Pass) {
       unsigned PassSlots = 0;
       for (Slot &S : Slots) {
@@ -189,49 +153,17 @@ private:
         ++PassSlots;
         RoundOps += Count;
       }
-      DrainedSlots += PassSlots;
       if (PassSlots == 0)
         break;
     }
     stats::bump(stats::Counter::ServiceCombineRounds);
     stats::bump(stats::Counter::ServiceOpsCombined, RoundOps);
     stats::histogramAdd(stats::Histogram::ServiceCombineOps, RoundOps);
-    // A round that only served its own batch is evidence the shard went
-    // cold; decay toward the direct path.
-    if (DrainedSlots <= 1)
-      heatAdjust<PolicyT>(-1);
-    else
-      heatAdjust<PolicyT>(+1);
-  }
-
-  /// Lossy saturating heat update: one CAS attempt, losers simply skip
-  /// (the signal is a heuristic; a lost update is another session's
-  /// concurrent observation of the same regime).
-  template <class PolicyT> void heatAdjust(int Delta) {
-    uint32_t Cur = PolicyT::read(Heat, std::memory_order_acquire, this,
-                                 MemField::Epoch);
-    uint32_t Next;
-    if (Delta >= 0)
-      Next = Cur + static_cast<uint32_t>(Delta) > HeatMax
-                 ? HeatMax
-                 : Cur + static_cast<uint32_t>(Delta);
-    else
-      Next = Cur < static_cast<uint32_t>(-Delta)
-                 ? 0
-                 : Cur - static_cast<uint32_t>(-Delta);
-    if (Next != Cur)
-      (void)PolicyT::casStrong(Heat, Cur, Next, std::memory_order_acq_rel,
-                               this, MemField::Epoch);
   }
 
   static constexpr unsigned MaxCombinePasses = 3;
-  static constexpr uint32_t HeatGain = 2;
-  static constexpr uint32_t HeatMax = 16;
-  static constexpr uint32_t HeatThreshold = 4;
 
   LockT CombinerLock;
-  std::atomic<uint32_t> Heat{0};
-  std::atomic<uint32_t> InFlight{0};
   alignas(CacheLineBytes) Slot Slots[MaxSlots];
 };
 

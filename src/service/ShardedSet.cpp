@@ -12,27 +12,12 @@
 using namespace vbl;
 using namespace vbl::service;
 
-bool vbl::service::parseCombineMode(const std::string &Text,
-                                    CombineMode &Mode) {
-  if (Text == "off")
-    Mode = CombineMode::Off;
-  else if (Text == "on")
-    Mode = CombineMode::On;
-  else if (Text == "adaptive")
-    Mode = CombineMode::Adaptive;
-  else
-    return false;
-  return true;
-}
-
 const char *vbl::service::combineModeName(CombineMode Mode) {
   switch (Mode) {
   case CombineMode::Off:
     return "off";
   case CombineMode::On:
     return "on";
-  case CombineMode::Adaptive:
-    return "adaptive";
   }
   return "?";
 }
@@ -151,33 +136,16 @@ void ShardedSet::runOnShard(unsigned SessionIdx, unsigned ShardIdx,
                             BatchOp *Ops, uint32_t Count) {
   Shard &S = *Shards[ShardIdx];
   stats::histogramAdd(stats::Histogram::ServiceVisitOps, Count);
-  const auto ApplyDirect = [&] {
+  // Sessions beyond the slot array degrade to direct access: the
+  // backend is linearizable either way, combining only amortizes.
+  if (Opts.Combine == CombineMode::Off || SessionIdx >= CombinerSlots) {
     S.Set->applyBatch(Ops, Count);
     stats::bump(stats::Counter::ServiceOpsDirect, Count);
-  };
-  switch (Opts.Combine) {
-  case CombineMode::Off:
-    ApplyDirect();
-    return;
-  case CombineMode::Adaptive:
-    if (!S.Combiner.shouldCombine<DirectPolicy>()) {
-      stats::bump(stats::Counter::ServiceAdaptiveDirects);
-      S.Combiner.executeDirect<DirectPolicy>(ApplyDirect);
-      return;
-    }
-    [[fallthrough]];
-  case CombineMode::On:
-    // Sessions beyond the slot array degrade to direct access: the
-    // backend is linearizable either way, combining only amortizes.
-    if (SessionIdx >= CombinerSlots) {
-      ApplyDirect();
-      return;
-    }
-    S.Combiner.execute<DirectPolicy>(
-        SessionIdx, Ops, Count,
-        [&S](BatchOp *B, uint32_t N) { S.Set->applyBatch(B, N); });
     return;
   }
+  S.Combiner.execute<DirectPolicy>(
+      SessionIdx, Ops, Count,
+      [&S](BatchOp *B, uint32_t N) { S.Set->applyBatch(B, N); });
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,9 +19,7 @@
 ///    (VblList::applyBatchSorted),
 ///  - flat-combined: a session publishes its batch in a per-shard slot
 ///    and either finds it drained by another session's combine round or
-///    takes the combiner lock and drains everyone (FlatCombiner.h),
-///    with an adaptive mode that degrades to direct access on cold
-///    shards.
+///    takes the combiner lock and drains everyone (FlatCombiner.h).
 ///
 /// Per-key linearizability: shardOf is a pure function of the key, so
 /// all ops on one key serialize through one linearizable backend
@@ -55,13 +53,10 @@ namespace service {
 
 /// Per-shard access discipline for Session-routed operations.
 enum class CombineMode : uint8_t {
-  Off,      ///< Always direct (per-op or batched) backend access.
-  On,       ///< Every shard visit goes through the combining protocol.
-  Adaptive, ///< Combine hot shards, direct access on cold ones.
+  Off, ///< Always direct (per-op or batched) backend access.
+  On,  ///< Every shard visit goes through the combining protocol.
 };
 
-/// Parses "off"/"on"/"adaptive"; returns false on anything else.
-bool parseCombineMode(const std::string &Text, CombineMode &Mode);
 const char *combineModeName(CombineMode Mode);
 
 /// SplitMix64 finalizer over the raw key bits: shardOf must spread

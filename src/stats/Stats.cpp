@@ -113,8 +113,6 @@ const char *counterName(Counter C) {
     return "service.combine_handoffs";
   case Counter::ServiceBatchFlushes:
     return "service.batch_flushes";
-  case Counter::ServiceAdaptiveDirects:
-    return "service.adaptive_directs";
   case Counter::NumCounters_:
     break;
   }

@@ -191,9 +191,6 @@ enum class Counter : uint16_t {
                             ///  combiner (the waiter never took the lock).
   ServiceBatchFlushes,      ///< service.batch_flushes: session shard-queue
                             ///  drains (one backend visit per flush).
-  ServiceAdaptiveDirects,   ///< service.adaptive_directs: adaptive-mode
-                            ///  decisions that took the direct path on a
-                            ///  cold shard instead of publishing.
   NumCounters_
 };
 

@@ -12,8 +12,7 @@
 /// violations:
 ///
 ///  - flat lists: VblList, LazyList, HarrisMichaelList (over the leaky
-///    and the hazard-pointer domain), HarrisList, OptimisticList,
-///    HandOverHandList;
+///    and the hazard-pointer domain), OptimisticList, HandOverHandList;
 ///  - the unrolled VblChunkList for K in {1, 2, 7, 15} (K=1 maximizes
 ///    freeze/replace churn, K=2 mixes slot and structural paths, 7 and
 ///    15 cover multi-slot intervals with interior splits);
@@ -36,7 +35,6 @@
 #include "core/VblChunkList.h"
 #include "core/VblList.h"
 #include "lists/HandOverHandList.h"
-#include "lists/HarrisList.h"
 #include "lists/HarrisMichaelList.h"
 #include "lists/LazyList.h"
 #include "lists/OptimisticList.h"
@@ -119,11 +117,6 @@ TEST(FlowCheckerTest, HarrisMichaelListHpIsFlowClean) {
   expectFlowCleanLists<
       HarrisMichaelList<reclaim::HazardPointerDomain, TracedPolicy>>(
       "HarrisMichaelList<HP>");
-}
-
-TEST(FlowCheckerTest, HarrisListIsFlowClean) {
-  expectFlowCleanLists<HarrisList<reclaim::LeakyDomain, TracedPolicy>>(
-      "HarrisList");
 }
 
 TEST(FlowCheckerTest, OptimisticListIsFlowClean) {

@@ -127,7 +127,7 @@ TEST(Runner, MeasureAlgorithmCollectsRepeats) {
   EXPECT_GT(Stats.mean(), 0.0);
 }
 
-TEST(Panel, MeansAndCsv) {
+TEST(Panel, Means) {
   Panel P("unit", {"a", "b"}, {1, 2});
   SampleStats SA, SB;
   SA.add(2e6);
@@ -136,8 +136,4 @@ TEST(Panel, MeansAndCsv) {
   P.setResult(1, "b", SB);
   EXPECT_DOUBLE_EQ(P.mean(1, "a"), 2e6);
   EXPECT_DOUBLE_EQ(P.mean(1, "b"), 1e6);
-
-  CsvWriter Csv = Panel::makeCsv();
-  P.appendCsv(Csv);
-  EXPECT_EQ(Csv.numRows(), 2u) << "only filled cells are emitted";
 }

@@ -6,23 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Pins down which backends the shared scenario corpus (exploration +
-/// race/flow oracles) covers, and why the remaining two are excluded:
+/// race/flow oracles) covers, and why the remaining one is excluded:
 ///
-/// TombstoneBst and LazySkipList are NOT policy-parameterized — they
-/// have no `Policy` typedef and take no PolicyT template argument, so
-/// the deterministic step scheduler cannot mediate their shared
-/// accesses (no yield per access means no interleaving enumeration and
-/// no per-step flow snapshots). They also expose no headNode()/
-/// nodeChain()/flowView(): the BST has no head-to-tail chain at all,
-/// and the skip list's multi-level successor arrays do not fit the
-/// single-successor flow model (each key would "flow" through every
-/// level it is linked at). Bringing them under the corpus means first
-/// retrofitting a policy layer — tracked in ROADMAP.md, out of scope
-/// here. This test asserts that exclusion premise AT COMPILE TIME, so
-/// the moment either structure grows the required surface this test
-/// fails and the corpus sweeps must be extended.
+/// LazySkipList is NOT policy-parameterized — it has no `Policy`
+/// typedef and takes no PolicyT template argument, so the
+/// deterministic step scheduler cannot mediate its shared accesses (no
+/// yield per access means no interleaving enumeration and no per-step
+/// flow snapshots). It also exposes no headNode()/nodeChain()/
+/// flowView(): the skip list's multi-level successor arrays do not fit
+/// the single-successor flow model (each key would "flow" through
+/// every level it is linked at). Bringing it under the corpus means
+/// first retrofitting a policy layer — tracked in ROADMAP.md, out of
+/// scope here. This test asserts that exclusion premise AT COMPILE
+/// TIME, so the moment the structure grows the required surface this
+/// test fails and the corpus sweeps must be extended.
 ///
-/// Until then the corpus still covers them at the functional level:
+/// Until then the corpus still covers it at the functional level:
 /// every corpus scenario is replayed sequentially (program order,
 /// thread 0 first — a valid linearization of the scenario) against a
 /// std::set model, checking each op's return value and the final
@@ -31,7 +30,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "lists/LazySkipList.h"
-#include "lists/TombstoneBst.h"
 #include "reclaim/LeakyDomain.h"
 
 #include "sched/ScenarioCorpus.h"
@@ -45,7 +43,6 @@ using namespace vbl::sched;
 
 namespace {
 
-using Bst = TombstoneBst<>;
 using SkipList = LazySkipList<reclaim::LeakyDomain>;
 
 // The corpus-eligibility surface: a policy typedef for scheduler
@@ -57,12 +54,9 @@ constexpr bool HasFlowView = requires(T &S) { S.flowView(); };
 template <class T>
 constexpr bool HasNodeChain = requires(const T &S) { S.nodeChain(); };
 
-// The documented exclusions. If either assert fires, the structure
-// gained the surface — wire it into FlowCheckerTest/CleanListsTest and
-// delete the corresponding half of this test.
-static_assert(!HasPolicy<Bst> && !HasFlowView<Bst> && !HasNodeChain<Bst>,
-              "TombstoneBst became corpus-eligible; add it to the "
-              "interleaving sweeps");
+// The documented exclusion. If the assert fires, the structure gained
+// the surface — wire it into FlowCheckerTest/CleanListsTest and delete
+// this test.
 static_assert(!HasPolicy<SkipList> && !HasFlowView<SkipList> &&
                   !HasNodeChain<SkipList>,
               "LazySkipList became corpus-eligible; add it to the "
@@ -118,10 +112,6 @@ template <class SetT> void runSequentialCorpus(const char *SetName) {
     EXPECT_EQ(Whole, std::vector<SetKey>(Model.begin(), Model.end()))
         << SetName << " / " << S.Name << ": full-domain rangeQuery";
   }
-}
-
-TEST(CorpusCoverageTest, TombstoneBstSequentialCorpus) {
-  runSequentialCorpus<Bst>("TombstoneBst");
 }
 
 TEST(CorpusCoverageTest, LazySkipListSequentialCorpus) {

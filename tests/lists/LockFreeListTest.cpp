@@ -1,18 +1,16 @@
-//===- tests/lists/LockFreeListTest.cpp - Harris / HM specifics ----------===//
+//===- tests/lists/LockFreeListTest.cpp - Harris-Michael specifics -------===//
 //
 // Part of the VBL project: a reproduction of "Optimal Concurrency for
 // List-Based Sets" (PACT 2021).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Tests specific to the two lock-free lists: delegated physical
-/// unlinking, mark-bit semantics through the type-erased API, and the
-/// single-retire discipline under the TrackingDomain (the property the
-/// HarrisList snip-adjacency argument promises).
+/// Tests specific to the lock-free list: delegated physical unlinking,
+/// mark-bit semantics through the type-erased API, and the
+/// single-retire discipline under the TrackingDomain.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "lists/HarrisList.h"
 #include "lists/HarrisMichaelList.h"
 
 #include "reclaim/TrackingDomain.h"
@@ -30,8 +28,7 @@ using namespace vbl;
 template <class ListT> class LockFreeListTest : public ::testing::Test {};
 
 using LockFreeTypes =
-    ::testing::Types<HarrisMichaelList<reclaim::TrackingDomain>,
-                     HarrisList<reclaim::TrackingDomain>>;
+    ::testing::Types<HarrisMichaelList<reclaim::TrackingDomain>>;
 TYPED_TEST_SUITE(LockFreeListTest, LockFreeTypes);
 
 TYPED_TEST(LockFreeListTest, SingleRetirePerRemovedNode) {

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 using namespace vbl;
 using namespace vbl::sched;
 
@@ -70,6 +73,40 @@ TEST(StepScheduler, InterleavingFollowsGrants) {
   EXPECT_EQ(Trace[1].Thread, 0u);
   EXPECT_EQ(Trace[2].Thread, 0u);
   EXPECT_EQ(Trace[3].Thread, 1u);
+}
+
+// Every handoff here outlasts the spin and the yields, so each side
+// parks on its futex before the other posts: grants and step ends must
+// still arrive, in grant order, however long either side dawdles.
+TEST(StepScheduler, GrantsReachParkedThreads) {
+  constexpr int Accesses = 20;
+  const auto Dawdle = [] {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  };
+  std::atomic<int64_t> A{0}, B{0};
+  const auto SlowBody = [&Dawdle](std::atomic<int64_t> &Cell) {
+    return [&Dawdle, &Cell] {
+      for (int I = 0; I != Accesses; ++I) {
+        Dawdle(); // Inside the step: the scheduler's wait parks.
+        TracedPolicy::read(Cell, std::memory_order_relaxed, &Cell,
+                           MemField::Val);
+      }
+    };
+  };
+  StepScheduler Sched({SlowBody(A), SlowBody(B)});
+  std::vector<uint32_t> Granted;
+  for (unsigned Next = 0; !Sched.allFinished(); Next = 1 - Next) {
+    if (!Sched.runnable(Next))
+      continue;
+    Dawdle(); // Between steps: the workers' waits park.
+    const size_t Before = Sched.trace().size();
+    Sched.step(Next);
+    if (Sched.trace().size() != Before)
+      Granted.push_back(Next);
+  }
+  ASSERT_EQ(Sched.trace().size(), size_t(2 * Accesses));
+  for (size_t I = 0; I != Granted.size(); ++I)
+    EXPECT_EQ(Sched.trace()[I].Thread, Granted[I]) << "event " << I;
 }
 
 TEST(StepScheduler, LockBlockingAndRelease) {

@@ -13,9 +13,10 @@
 ///    interleaving of the publish / drain / handoff protocol must be
 ///    race-free, deadlock-free, and produce correct op results;
 ///  - combiner-vs-direct: one session combines while another applies
-///    its batch through the adaptive cold path (executeDirect),
-///    proving combining is an amortization and not an exclusivity
-///    requirement — direct and combined ops interleave safely;
+///    its batch straight to the list, as sessions beyond the slot
+///    array do, proving combining is an amortization and not an
+///    exclusivity requirement — direct and combined ops interleave
+///    safely;
 ///  - both protocol outcomes — a session draining its own slot and a
 ///    session finding its slot drained by the other's combine round
 ///    (the handoff) — are constructed by forced schedules and verified
@@ -84,8 +85,8 @@ struct CombinerWorld {
 };
 
 /// Episode: thread i runs one (Op, Key) through the combiner (slot i)
-/// or, with Direct[i] set, through the adaptive cold path. Prefill is
-/// applied untraced.
+/// or, with Direct[i] set, straight into the list. Prefill is applied
+/// untraced.
 struct CombinerScenario {
   const char *Name;
   std::vector<SetKey> Prefill;
@@ -117,12 +118,10 @@ EpisodeFactory factoryFor(const CombinerScenario &S,
           const auto Apply = [World](BatchOp *Batch, uint32_t Count) {
             World->applySlot(Batch, Count);
           };
-          if (Direct) {
-            World->Combiner.executeDirect<AnalyzedPolicy>(
-                [&] { Apply(&O, 1); });
-          } else {
+          if (Direct)
+            Apply(&O, 1);
+          else
             World->Combiner.execute<AnalyzedPolicy>(T, &O, 1, Apply);
-          }
           return O.Result;
         });
       }));
@@ -187,23 +186,13 @@ TEST(CombinerSchedTest, CombineVsCombineSameKey) {
 }
 
 TEST(CombinerSchedTest, CombinerVsDirectHandoff) {
-  // Thread 0 combines, thread 1 takes the adaptive cold path straight
-  // into the backend. Every interleaving of slot protocol vs direct
-  // list access must stay race-free with correct results.
+  // Thread 0 combines, thread 1 goes straight into the backend. Every
+  // interleaving of slot protocol vs direct list access must stay
+  // race-free with correct results.
   const CombinerScenario S{"combiner_vs_direct",
                            {3},
                            {{{SetOp::Insert, 1}, {SetOp::Remove, 3}}},
                            {false, true}};
-  expectProtocolClean(S, {true, true}, 3000);
-}
-
-TEST(CombinerSchedTest, DirectVsDirectProbe) {
-  // Both sessions on the cold path: only the InFlight probe and the
-  // backend interleave; the heat CAS traffic must be race-free too.
-  const CombinerScenario S{"direct_vs_direct",
-                           {},
-                           {{{SetOp::Insert, 1}, {SetOp::Insert, 2}}},
-                           {true, true}};
   expectProtocolClean(S, {true, true}, 3000);
 }
 

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Correctness of the sharded serving front-end across its access
-/// disciplines (direct / batched / flat-combined / adaptive) and a
-/// spread of backends (flat VBL over VBR, the chunked list, and the
-/// split-ordered hash over VBL+VBR):
+/// disciplines (direct / batched / flat-combined) and a spread of
+/// backends (flat VBL over VBR, the chunked list, and the split-ordered
+/// hash over VBL+VBR):
 ///
 ///  - sequential differential: session-routed ops vs std::set, with
 ///    results checked in completion order (batch flushes included);
@@ -17,7 +17,8 @@
 ///  - concurrent per-key linearizability: recorded histories where a
 ///    batched op's interval is widened to [enqueue, flush-return] —
 ///    its linearization point provably lies inside — checked by the
-///    lin engine;
+///    lin engine, including a run where sessions past the combiner's
+///    slot array apply directly while the others combine;
 ///  - the registry suggestion path for unknown backend names.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,6 +26,7 @@
 #include "service/ShardedSet.h"
 
 #include "lin/LinChecker.h"
+#include "stats/Stats.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
 
@@ -144,11 +146,6 @@ TEST(ShardedSetTest, SequentialDifferentialCombining) {
     sequentialDifferential(Backend, 8, CombineMode::On);
 }
 
-TEST(ShardedSetTest, SequentialDifferentialAdaptive) {
-  for (const char *Backend : Backends)
-    sequentialDifferential(Backend, 8, CombineMode::Adaptive);
-}
-
 // Same-key ops inside one batch must apply in submission order: the
 // shard adapter's sort is stable, so insert/remove/insert/contains on
 // one key resolves like the sequential program.
@@ -203,8 +200,12 @@ TEST(ShardedSetTest, DirectInterfaceAndRouting) {
 // Batched ops: interval = [enqueue, flush-return]. The op's actual
 // linearization (inside the backend during the flush) lies within, so
 // if the widened history linearizes per key, so does the execution.
+// With \p MixDirect, all but Threads/2 of the combiner's slots go to
+// idle sessions first, so half the workers get a slot and combine
+// while the other half run past the slot array, straight into the
+// backend, on the same shards at the same time.
 void concurrentLincheck(const std::string &Backend, unsigned Batch,
-                        CombineMode Mode) {
+                        CombineMode Mode, bool MixDirect = false) {
   auto Front = mustCreate(options(Backend, 2, Batch, Mode));
   std::vector<SetKey> Initial;
   for (SetKey Key = 0; Key < 8; Key += 2) {
@@ -212,6 +213,10 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
     Initial.push_back(Key);
   }
   constexpr unsigned Threads = 4;
+  if (MixDirect)
+    for (unsigned I = 0; I != ShardedSet::CombinerSlots - Threads / 2; ++I)
+      Front->openSession();
+  const stats::Snapshot Before = stats::snapshotAll();
   lin::HistoryRecorder Recorder(Threads);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
@@ -241,6 +246,12 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
     });
   for (auto &Worker : Workers)
     Worker.join();
+  if (MixDirect && stats::Enabled) {
+    const stats::Snapshot Delta = stats::snapshotAll().delta(Before);
+    EXPECT_GT(Delta.get(stats::Counter::ServiceOpsDirect), 0u) << Backend;
+    EXPECT_GT(Delta.get(stats::Counter::ServiceOpsCombined), 0u)
+        << Backend;
+  }
   EXPECT_TRUE(Front->checkInvariants()) << Backend;
   const lin::LinResult Result =
       lin::checkSetHistory(Recorder.merged(), Initial);
@@ -253,13 +264,10 @@ TEST(ShardedSetTest, LinearizableBatched) {
 }
 
 TEST(ShardedSetTest, LinearizableCombining) {
-  for (const char *Backend : Backends)
+  for (const char *Backend : Backends) {
     concurrentLincheck(Backend, 4, CombineMode::On);
-}
-
-TEST(ShardedSetTest, LinearizableAdaptive) {
-  for (const char *Backend : Backends)
-    concurrentLincheck(Backend, 1, CombineMode::Adaptive);
+    concurrentLincheck(Backend, 1, CombineMode::On, /*MixDirect=*/true);
+  }
 }
 
 // Concurrent differential on final state: updates only, disjoint key
@@ -307,7 +315,8 @@ TEST(ShardedSetTest, UnknownBackendSuggestsClosestNames) {
 
 TEST(ShardedSetTest, RegistryDescriptionsAreComplete) {
   const std::vector<SetDescription> All = registeredSetDescriptions();
-  EXPECT_GE(All.size(), 27u);
+  EXPECT_EQ(All.size(), 26u);
+  EXPECT_EQ(registeredHashSetNames().size(), 4u);
   for (const SetDescription &D : All) {
     EXPECT_FALSE(D.Describe.empty()) << D.Name;
     // Every described name must resolve through the factory.
@@ -478,12 +487,8 @@ TEST(ShardedSetTest, MovedFromSessionDoesNotDoubleFlush) {
   EXPECT_EQ(Front->snapshot().size(), 1u);
 }
 
-TEST(ShardedSetTest, CombineModeParsing) {
-  CombineMode Mode = CombineMode::Off;
-  EXPECT_TRUE(parseCombineMode("adaptive", Mode));
-  EXPECT_EQ(static_cast<int>(Mode),
-            static_cast<int>(CombineMode::Adaptive));
-  EXPECT_FALSE(parseCombineMode("sometimes", Mode));
+TEST(ShardedSetTest, CombineModeNames) {
+  EXPECT_STREQ(combineModeName(CombineMode::Off), "off");
   EXPECT_STREQ(combineModeName(CombineMode::On), "on");
 }
 
