@@ -30,6 +30,8 @@ const char *flowClauseName(FlowClause Clause) {
     return "F6.UnlinkedUnmarked";
   case FlowClause::MarkedLingers:
     return "F7.MarkedLingers";
+  case FlowClause::LockHeld:
+    return "AtRest.LockHeld";
   }
   return "F?.Unknown";
 }
@@ -45,24 +47,10 @@ std::string FlowReport::toString() const {
   return Out.str();
 }
 
-void FlowChecker::report(FlowClause Clause, const void *Node, SetKey Key,
-                         std::string Detail,
+void FlowChecker::report(FlowViolation V,
                          const std::vector<unsigned> &Choices) {
-  if (!Reported.insert({Clause, Node}).second)
-    return;
-  FlowReport R;
-  R.Clause = Clause;
-  R.Node = Node;
-  R.Key = Key;
-  R.Detail = std::move(Detail);
-  R.Step = Step;
-  R.SchedulePrefix = Choices;
-  Reports.push_back(std::move(R));
-}
-
-std::vector<FlowNodeDesc> FlowChecker::snapshot() {
-  stats::bump(stats::Counter::AnalysisFlowChecks);
-  return View.Describe();
+  if (Reported.insert({V.Clause, V.Node}).second)
+    Reports.push_back({std::move(V), Step, Choices});
 }
 
 void FlowChecker::onStep(const std::vector<unsigned> &Choices) {
@@ -73,76 +61,35 @@ void FlowChecker::onStep(const std::vector<unsigned> &Choices) {
   if (SawBaseline)
     Step = Choices.size();
   SawBaseline = true;
-  checkStep(snapshot(), Choices);
+  check(FlowPass::Step, Choices);
 }
 
 void FlowChecker::onEpisodeEnd(const std::vector<unsigned> &Choices) {
   if (!View)
     return;
+  // Every operation has returned: the final snapshot must be well
+  // formed at rest, by the same clauses as checkInvariants().
   Step = Choices.size();
-  checkEnd(snapshot(), Choices);
+  check(FlowPass::AtRest, Choices);
 }
 
-void FlowChecker::checkStep(const std::vector<FlowNodeDesc> &Chain,
+void FlowChecker::check(FlowPass Pass, const std::vector<unsigned> &Choices) {
+  stats::bump(stats::Counter::AnalysisFlowChecks);
+  const std::vector<FlowNodeDesc> Chain = View.Describe();
+  ChainClauses Clauses(View.Traits, Pass);
+  for (const FlowNodeDesc &N : Chain)
+    Clauses.visit(N);
+  const bool Whole = Clauses.finish();
+  for (FlowViolation &V : Clauses.takeViolations())
+    report(std::move(V), Choices);
+  if (Whole) // F5 and F6 assume a well-formed head..tail chain.
+    checkFlow(Chain, Choices);
+}
+
+void FlowChecker::checkFlow(const std::vector<FlowNodeDesc> &Chain,
                             const std::vector<unsigned> &Choices) {
-  // F1 Shape: non-empty, bounded, tail present. An empty snapshot or a
-  // cap-length walk that never reached MaxSentinel is a broken chain.
-  if (Chain.empty()) {
-    report(FlowClause::Shape, nullptr, 0, "head walk found no nodes",
-           Choices);
-    return;
-  }
-  if (Chain.back().Key != MaxSentinel) {
-    std::ostringstream D;
-    if (Chain.size() >= FlowWalkCap)
-      D << "walk hit the " << FlowWalkCap
-        << "-hop cap without reaching the tail sentinel (cycle or "
-           "unbounded chain)";
-    else
-      D << "walk ended at key " << Chain.back().Key
-        << " instead of the tail sentinel";
-    report(FlowClause::Shape, Chain.back().Node, Chain.back().Key, D.str(),
-           Choices);
-    return; // Later clauses assume a well-formed head..tail chain.
-  }
-
-  // F2 Sentinels.
-  const FlowNodeDesc &Head = Chain.front();
-  const FlowNodeDesc &Tail = Chain.back();
-  if (Head.Key != MinSentinel)
-    report(FlowClause::Sentinels, Head.Node, Head.Key,
-           "head key is not MinSentinel", Choices);
-  if (Head.Marked)
-    report(FlowClause::Sentinels, Head.Node, Head.Key, "head is marked",
-           Choices);
-  if (Tail.Marked)
-    report(FlowClause::Sentinels, Tail.Node, Tail.Key, "tail is marked",
-           Choices);
-  if (View.IsChunked) {
-    if (!Head.Slots.empty())
-      report(FlowClause::Sentinels, Head.Node, Head.Key,
-             "head sentinel chunk publishes occupied slots", Choices);
-    if (!Tail.Slots.empty())
-      report(FlowClause::Sentinels, Tail.Node, Tail.Key,
-             "tail sentinel chunk publishes occupied slots", Choices);
-  }
-
-  // F3 Sorted: strictly increasing keys/anchors over the whole chain,
-  // marked nodes included (inserts only link between verified-adjacent
-  // nodes, so even a logically deleted node keeps its place).
-  for (size_t I = 1; I < Chain.size(); ++I) {
-    if (Chain[I - 1].Key >= Chain[I].Key) {
-      std::ostringstream D;
-      D << (View.IsChunked ? "anchor " : "key ") << Chain[I].Key
-        << " does not exceed predecessor's " << Chain[I - 1].Key;
-      report(FlowClause::Sorted, Chain[I].Node, Chain[I].Key, D.str(),
-             Choices);
-    }
-  }
-
-  // F4 ChunkInterval (per-step part) + F5 UniqueFlow. Flow of a user
-  // key = the set of unmarked reachable nodes/slots holding it; the
-  // per-step clause is |flow(k)| <= 1.
+  // F5 UniqueFlow. Flow of a user key = the set of unmarked reachable
+  // nodes/slots holding it; the per-step clause is |flow(k)| <= 1.
   std::map<SetKey, const void *> FlowTarget;
   auto capture = [&](const FlowNodeDesc &N, SetKey Key) {
     if (!isUserKey(Key))
@@ -152,50 +99,24 @@ void FlowChecker::checkStep(const std::vector<FlowNodeDesc> &Chain,
       std::ostringstream D;
       D << "key " << Key << " flows to two unmarked nodes (" << It->second
         << " and " << N.Node << ")";
-      report(FlowClause::UniqueFlow, N.Node, Key, D.str(), Choices);
+      report({FlowClause::UniqueFlow, N.Node, Key, D.str()}, Choices);
     }
   };
-  for (size_t I = 0; I < Chain.size(); ++I) {
-    const FlowNodeDesc &N = Chain[I];
-    if (N.IsChunk) {
-      const SetKey NextAnchor =
-          I + 1 < Chain.size() ? Chain[I + 1].Key : MaxSentinel;
-      std::set<SetKey> SlotKeys;
-      for (const FlowSlot &Slot : N.Slots) {
-        if (Slot.Index >= N.Capacity) {
-          std::ostringstream D;
-          D << "occupied slot index " << Slot.Index
-            << " outside chunk capacity " << N.Capacity;
-          report(FlowClause::ChunkInterval, N.Node, Slot.Key, D.str(),
-                 Choices);
-        }
-        if (Slot.Key < N.Key || Slot.Key >= NextAnchor) {
-          std::ostringstream D;
-          D << "slot " << Slot.Index << " key " << Slot.Key
-            << " outside chunk keyset [" << N.Key << ", " << NextAnchor
-            << ")";
-          report(FlowClause::ChunkInterval, N.Node, Slot.Key, D.str(),
-                 Choices);
-        }
-        if (!SlotKeys.insert(Slot.Key).second) {
-          std::ostringstream D;
-          D << "key " << Slot.Key << " occupies two slots of one chunk";
-          report(FlowClause::ChunkInterval, N.Node, Slot.Key, D.str(),
-                 Choices);
-        }
-        if (!N.Marked)
-          capture(N, Slot.Key);
-      }
-    } else if (!N.Marked) {
+  for (const FlowNodeDesc &N : Chain) {
+    if (N.Marked)
+      continue;
+    if (N.IsChunk)
+      for (const FlowSlot &Slot : N.Slots)
+        capture(N, Slot.Key);
+    else
       capture(N, N.Key);
-    }
   }
 
   // F6 UnlinkedUnmarked: audit tracked nodes that left the reachable
   // set, then refresh the tracking map from this snapshot. Markless
   // backends (Optimistic, hand-over-hand) unlink live nodes by design
   // — and may free them immediately — so they are never tracked.
-  if (!View.HasMark)
+  if (!View.Traits.HasMark)
     return;
   std::set<const void *> Reachable;
   for (const FlowNodeDesc &N : Chain)
@@ -206,58 +127,14 @@ void FlowChecker::checkStep(const std::vector<FlowNodeDesc> &Chain,
       continue;
     }
     if (!It->second.second)
-      report(FlowClause::UnlinkedUnmarked, It->first, It->second.first,
-             "node became unreachable while still unmarked "
-             "(unlink-before-mark)",
+      report({FlowClause::UnlinkedUnmarked, It->first, It->second.first,
+              "node became unreachable while still unmarked "
+              "(unlink-before-mark)"},
              Choices);
     It = LastMarked.erase(It);
   }
   for (const FlowNodeDesc &N : Chain)
     LastMarked[N.Node] = {N.Key, N.Marked};
-}
-
-void FlowChecker::checkEnd(const std::vector<FlowNodeDesc> &Chain,
-                           const std::vector<unsigned> &Choices) {
-  // Re-run the per-step clauses on the final state too: an episode's
-  // last step is a step like any other.
-  checkStep(Chain, Choices);
-
-  // F7 MarkedLingers: all operations have returned, so every logical
-  // delete must have completed its unlink (mark <=> no-flow holds
-  // exactly at quiescence). Harris-style backends legally leave marked
-  // nodes for later traversals to snip.
-  if (View.HasMark && !View.MarkedMayLinger) {
-    for (const FlowNodeDesc &N : Chain)
-      if (N.Marked)
-        report(FlowClause::MarkedLingers, N.Node, N.Key,
-               "node still marked and reachable at episode end", Choices);
-  }
-
-  // F4 quiescent part: Occ confined below FirstClean. Between
-  // storeSlot's Occ publish and its FirstClean advance this is
-  // transiently false, so it is only a quiescent-state clause.
-  if (View.IsChunked) {
-    for (const FlowNodeDesc &N : Chain) {
-      if (!N.IsChunk)
-        continue;
-      if (N.FirstClean > N.Capacity) {
-        std::ostringstream D;
-        D << "FirstClean " << N.FirstClean << " exceeds capacity "
-          << N.Capacity;
-        report(FlowClause::ChunkInterval, N.Node, N.Key, D.str(), Choices);
-      }
-      for (const FlowSlot &Slot : N.Slots) {
-        if (Slot.Index >= N.FirstClean) {
-          std::ostringstream D;
-          D << "occupied slot " << Slot.Index
-            << " at or above FirstClean " << N.FirstClean
-            << " at episode end";
-          report(FlowClause::ChunkInterval, N.Node, Slot.Key, D.str(),
-                 Choices);
-        }
-      }
-    }
-  }
 }
 
 } // namespace analysis

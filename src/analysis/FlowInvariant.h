@@ -17,8 +17,9 @@
 /// Clause catalogue (F-numbers referenced by tests and DESIGN.md):
 ///
 ///   F1 Shape            walk from head reaches a MaxSentinel tail
-///                       within FlowWalkCap hops (a cycle or lost tail
-///                       hits the cap).
+///                       (within FlowWalkCap nodes in the per-step
+///                       view, so a cycle or lost tail ends the walk
+///                       short of the tail).
 ///   F2 Sentinels        head key == MinSentinel, tail key ==
 ///                       MaxSentinel, both unmarked; chunk sentinels
 ///                       publish no slots.
@@ -46,8 +47,16 @@
 ///                       backends (HasMark == false).
 ///   F7 MarkedLingers    at episode end no reachable node is still
 ///                       marked — every logical delete completed its
-///                       unlink. Skipped when MarkedMayLinger (Harris /
-///                       Harris-Michael delegate unlinks to later ops).
+///                       unlink. Skipped when MarkedMayLinger
+///                       (Harris-Michael delegates unlinks to later
+///                       ops).
+///
+/// F1-F4 and F7 judge one snapshot on their own and live in
+/// analysis/FlowView.h, with one more clause for the end of an
+/// episode: no node is locked. Every chain structure's
+/// checkInvariants() runs that same at-rest set over its uncapped
+/// quiescent walk. F5 and F6 stay here: F6 compares consecutive
+/// snapshots, and at rest F5 follows from F3 and F4.
 ///
 /// Together F5 + F6 + F7 are the step-indexed decomposition of the
 /// paper's "mark == true <=> flow == emptyset": the biconditional holds
@@ -75,33 +84,13 @@
 namespace vbl {
 namespace analysis {
 
-/// Which invariant clause a FlowReport violates. Values mirror the
-/// F-numbers in the file comment.
-enum class FlowClause {
-  Shape,
-  Sentinels,
-  Sorted,
-  ChunkInterval,
-  UniqueFlow,
-  UnlinkedUnmarked,
-  MarkedLingers,
-};
-
 const char *flowClauseName(FlowClause Clause);
 
-/// One flow-invariant violation, shaped after RaceReport: enough to
-/// print, and enough to reproduce (SchedulePrefix replays through
-/// InterleavingExplorer::run up to the step that tripped the clause).
-struct FlowReport {
-  FlowClause Clause = FlowClause::Shape;
-  /// The offending node (or chunk); null when the violation is about
-  /// the chain as a whole (e.g. a Shape cap hit with no chain).
-  const void *Node = nullptr;
-  /// The key (or chunk anchor / slot key) the clause failed for.
-  SetKey Key = 0;
-  /// Human-readable clause instance, e.g. "slot 3 key 9 outside
-  /// [4, 8)".
-  std::string Detail;
+/// One flow-invariant violation in an explored episode, shaped after
+/// RaceReport: enough to print, and enough to reproduce (SchedulePrefix
+/// replays through InterleavingExplorer::run up to the step that
+/// tripped the clause).
+struct FlowReport : FlowViolation {
   /// Scheduler step index at which the violation was observed (0 =
   /// the pre-step baseline snapshot).
   size_t Step = 0;
@@ -120,7 +109,7 @@ struct FlowReport {
 ///   FlowChecker Flow(Meta.Flow);
 ///   Flow.onStep(Choices);          // baseline, before the first step
 ///   ... after each Sched.step(): Flow.onStep(Choices);
-///   Flow.onEpisodeEnd(Choices);    // quiescent-state-only clauses
+///   Flow.onEpisodeEnd(Choices);    // at-rest clauses
 ///
 /// Each (clause, node) pair is reported once per episode: a violated
 /// invariant usually stays violated for the rest of the episode and
@@ -133,21 +122,18 @@ public:
   /// prefix so far (copied into any report produced).
   void onStep(const std::vector<unsigned> &Choices);
 
-  /// Check the quiescent-state clauses (F7, chunk Occ/FirstClean
-  /// containment) against the final snapshot.
+  /// Check the final snapshot with the at-rest clause set (per-step
+  /// clauses plus F7, chunk Occ/FirstClean containment and no lock
+  /// held): the one checkInvariants() runs.
   void onEpisodeEnd(const std::vector<unsigned> &Choices);
 
-  const std::vector<FlowReport> &reports() const { return Reports; }
   std::vector<FlowReport> takeReports() { return std::move(Reports); }
 
 private:
-  std::vector<FlowNodeDesc> snapshot();
-  void checkStep(const std::vector<FlowNodeDesc> &Chain,
+  void check(FlowPass Pass, const std::vector<unsigned> &Choices);
+  void checkFlow(const std::vector<FlowNodeDesc> &Chain,
                  const std::vector<unsigned> &Choices);
-  void checkEnd(const std::vector<FlowNodeDesc> &Chain,
-                const std::vector<unsigned> &Choices);
-  void report(FlowClause Clause, const void *Node, SetKey Key,
-              std::string Detail, const std::vector<unsigned> &Choices);
+  void report(FlowViolation V, const std::vector<unsigned> &Choices);
 
   FlowView View;
   std::vector<FlowReport> Reports;

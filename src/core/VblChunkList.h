@@ -75,7 +75,7 @@
 #ifndef VBL_CORE_VBLCHUNKLIST_H
 #define VBL_CORE_VBLCHUNKLIST_H
 
-#include "analysis/FlowView.h"
+#include "analysis/QuiescentChain.h"
 #include "core/ChunkLock.h"
 #include "core/SetConfig.h"
 #include "reclaim/EpochDomain.h"
@@ -90,7 +90,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -99,7 +98,9 @@ namespace vbl {
 
 template <unsigned ChunkKeys = 7, class ReclaimT = reclaim::EpochDomain,
           class PolicyT = DirectPolicy, bool Adaptive = false>
-class VblChunkList {
+class VblChunkList
+    : public analysis::QuiescentChain<
+          VblChunkList<ChunkKeys, ReclaimT, PolicyT, Adaptive>> {
   static_assert(ChunkKeys >= 1 && ChunkKeys <= 63,
                 "the occupancy bitmap is one 64-bit word");
 
@@ -169,17 +170,19 @@ public:
   static constexpr size_t ChunkBytes = sizeof(Chunk);
   static constexpr size_t ChunkAlignment = alignof(Chunk);
 
+  /// A chunk-granularity freeze mark, and the marker swings the link
+  /// itself. A frozen chunk's content is immutable, so describing it
+  /// mid-freeze is safe; its keys transiently flow nowhere until the
+  /// replacement is swung in, which is why the per-step uniqueness
+  /// clause is "at most one".
+  static constexpr analysis::FlowTraits Flow{.IsChunked = true};
+
   VblChunkList() {
-    if constexpr (Versioned) {
-      // Sentinels need slab headers too: route() runs validAt on every
-      // chunk it certifies, Tail included. A fresh domain stamps birth
-      // zero, so sentinel certification never fails.
-      Tail = makeChunk(MaxSentinel);
-      Head = makeChunk(MinSentinel);
-    } else {
-      Tail = reclaim::poolCreate<Chunk, Policy>(MaxSentinel);
-      Head = reclaim::poolCreate<Chunk, Policy>(MinSentinel);
-    }
+    // Under VBR sentinels need slab headers too: route() runs validAt on
+    // every chunk it certifies, Tail included. A fresh domain stamps
+    // birth zero, so sentinel certification never fails.
+    Tail = makeChunk(MaxSentinel);
+    Head = makeChunk(MinSentinel);
     Head->Next.store(Tail, std::memory_order_relaxed);
   }
 
@@ -527,140 +530,34 @@ public:
   // Test and tooling support (not part of the concurrent hot path).
   //===--------------------------------------------------------------===//
 
-  /// Collects the user keys currently in the list, sorted. Quiescent
-  /// use only.
-  std::vector<SetKey> snapshot() const {
-    std::vector<SetKey> Out;
-    for (const Chunk *Curr = Head->Next.load(std::memory_order_acquire);
-         rawAnchor(Curr) != MaxSentinel;
-         Curr = Curr->Next.load(std::memory_order_acquire)) {
-      const size_t Base = Out.size();
-      uint64_t Bits = Curr->Occ.load(std::memory_order_acquire);
-      while (Bits) {
-        const int I = std::countr_zero(Bits);
-        Bits &= Bits - 1;
-        Out.push_back(Curr->Keys[static_cast<size_t>(I)].load(
-            std::memory_order_relaxed));
-      }
-      // Slots are append-ordered, not sorted; chunk ranges are disjoint
-      // and increasing, so a chunk-local sort yields a global order.
-      std::sort(Out.begin() + static_cast<ptrdiff_t>(Base), Out.end());
-    }
-    return Out;
-  }
-
-  /// Structural invariants that must hold when no operation is running:
-  /// anchors strictly increasing head to tail, nothing marked or
-  /// locked, occupancy confined below FirstClean, every key within its
-  /// chunk's [Anchor, NextAnchor) range and distinct, sentinels empty.
-  bool checkInvariants() const {
-    const Chunk *Curr = Head;
-    if (rawAnchor(Curr) != MinSentinel)
-      return false;
-    while (true) {
-      if (Curr->Marked.load(std::memory_order_acquire))
-        return false;
-      if (Curr->Lock.isLocked())
-        return false;
-      const uint32_t FC = Curr->FirstClean.load(std::memory_order_acquire);
-      const uint64_t Occ = Curr->Occ.load(std::memory_order_acquire);
-      if (FC > ChunkKeys)
-        return false;
-      if ((FC < 64 ? Occ >> FC : 0) != 0)
-        return false; // A bit above FirstClean: a never-written slot.
-      const Chunk *Next = Curr->Next.load(std::memory_order_acquire);
-      if (rawAnchor(Curr) == MaxSentinel)
-        return Next == nullptr && Occ == 0;
-      if (!Next || rawAnchor(Next) <= rawAnchor(Curr))
-        return false;
-      if (Curr == Head && Occ != 0)
-        return false; // The head sentinel never stores keys.
-      std::vector<SetKey> InChunk;
-      uint64_t Bits = Occ;
-      while (Bits) {
-        const int I = std::countr_zero(Bits);
-        Bits &= Bits - 1;
-        const SetKey K = Curr->Keys[static_cast<size_t>(I)].load(
-            std::memory_order_relaxed);
-        if (K < rawAnchor(Curr) || K >= rawAnchor(Next))
-          return false;
-        InChunk.push_back(K);
-      }
-      std::sort(InChunk.begin(), InChunk.end());
-      if (std::adjacent_find(InChunk.begin(), InChunk.end()) !=
-          InChunk.end())
-        return false;
-      Curr = Next;
-    }
-  }
-
-  /// Number of user keys; O(n), quiescent use only.
-  size_t sizeSlow() const { return snapshot().size(); }
-
   /// Chunks between the sentinels; quiescent use only (tests assert on
   /// split/unlink structure).
-  size_t chunkCountSlow() const {
-    size_t N = 0;
-    for (const Chunk *Curr = Head->Next.load(std::memory_order_acquire);
-         rawAnchor(Curr) != MaxSentinel;
-         Curr = Curr->Next.load(std::memory_order_acquire))
-      ++N;
-    return N;
-  }
+  size_t chunkCountSlow() const { return this->nodeChain().size() - 2; }
 
   Reclaim &reclaimDomain() { return Domain; }
 
-  /// Identity of the head sentinel (schedule exporters key off it).
-  const void *headNode() const { return Head; }
-
-  /// Quiescent-only: the (chunk, anchor) chain from head to tail
-  /// inclusive, used by the schedule tooling to reconstruct states.
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h): one description
+  /// per chunk, anchor as the key, the set Occ bits as occupied slots.
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
+    D.IsChunk = true;
+    D.Capacity = ChunkKeys;
     for (const Chunk *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, rawAnchor(Curr));
-    return Chain;
-  }
-
-  /// Self-description for the flow-invariant oracle: one FlowNodeDesc
-  /// per reachable chunk, anchor as the node key, occupied slots (set
-  /// Occ bits) listed with their published keys. A frozen (marked)
-  /// chunk's content is immutable, so describing it mid-freeze is safe;
-  /// its keys transiently flow nowhere until the replacement is swung
-  /// in — which is why the per-step uniqueness clause is "at most one".
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = true;          // Chunk-granularity freeze mark.
-    View.MarkedMayLinger = false; // The marker swings the link itself.
-    View.IsChunked = true;
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Chunk *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;
-           Curr = Curr->Next.load(std::memory_order_relaxed)) {
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = rawAnchor(Curr);
-        D.Marked = Curr->Marked.load(std::memory_order_relaxed);
-        D.IsChunk = true;
-        D.FirstClean = Curr->FirstClean.load(std::memory_order_relaxed);
-        D.Capacity = ChunkKeys;
-        uint64_t Bits = Curr->Occ.load(std::memory_order_relaxed);
-        while (Bits) {
-          const int I = std::countr_zero(Bits);
-          Bits &= Bits - 1;
-          analysis::FlowSlot Slot;
-          Slot.Index = static_cast<uint32_t>(I);
-          Slot.Key = Curr->Keys[static_cast<size_t>(I)].load(
-              std::memory_order_relaxed);
-          D.Slots.push_back(Slot);
-        }
-        Chain.push_back(std::move(D));
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = rawAnchor(Curr);
+      D.Marked = Curr->Marked.load(std::memory_order_relaxed);
+      D.Locked = Curr->Lock.isLocked();
+      D.FirstClean = Curr->FirstClean.load(std::memory_order_relaxed);
+      D.Slots.clear();
+      for (uint64_t Bits = Curr->Occ.load(std::memory_order_relaxed); Bits;
+           Bits &= Bits - 1) {
+        const auto I = static_cast<uint32_t>(std::countr_zero(Bits));
+        D.Slots.push_back({I, Curr->Keys[I].load(std::memory_order_relaxed)});
       }
-      return Chain;
-    };
-    return View;
+      if (!V(D))
+        return;
+    }
   }
 
 private:
@@ -925,38 +822,38 @@ private:
   static constexpr std::memory_order PrePublishOrder =
       Versioned ? std::memory_order_release : std::memory_order_relaxed;
 
-  /// Allocates a raw chunk for \p Anchor. Non-versioned: pool block plus
-  /// constructor. Versioned: a fresh slab block is constructed and
-  /// announced via onNewNode exactly once; a revived block must NOT
-  /// re-run the constructor (its lock word and slab header are live
-  /// type-stable state) — the anchor and mark are release-stored over
-  /// the previous incarnation instead, ordered behind the birth stamp
-  /// allocBlockFor just published.
+  /// Allocates a raw chunk for \p Anchor (reclaim::domainCreate). A
+  /// recycled VBR block gets its anchor and mark release-stored over the
+  /// previous incarnation, behind the birth stamp allocBlockFor just
+  /// published; its lock word and slab header stay as they are.
   Chunk *makeChunk(SetKey Anchor) {
-    if constexpr (Versioned) {
-      bool Fresh = false;
-      void *Mem = Domain.template allocBlockFor<Chunk>(Fresh);
-      if (Fresh) {
-        Chunk *C = ::new (Mem) Chunk(Anchor);
-        Policy::onNewNode(C, Anchor);
-        return C;
-      }
-      Chunk *C = std::launder(static_cast<Chunk *>(Mem));
-      Policy::write(C->Anchor, Anchor, std::memory_order_release, C,
-                    MemField::Val);
-      Policy::write(C->Marked, false, std::memory_order_release, C,
-                    MemField::Marked);
-      // Revival skips the constructor, so the previous incarnation's
-      // contention heat must be cleared by hand: a revived chunk starts
-      // cold (also the hysteresis that keeps a just-split chunk from
-      // immediately splitting again).
-      Policy::write(C->Heat, uint32_t{0}, std::memory_order_release,
-                    &C->Heat, MemField::Val);
-      return C;
-    } else {
-      Chunk *C = reclaim::poolCreate<Chunk, Policy>(Anchor);
-      Policy::onNewNode(C, Anchor);
-      return C;
+    return reclaim::domainCreate<Chunk, Policy>(
+        Domain, Anchor, [Anchor](auto *C) {
+          Policy::write(C->Anchor, Anchor, std::memory_order_release, C,
+                        MemField::Val);
+          Policy::write(C->Marked, false, std::memory_order_release, C,
+                        MemField::Marked);
+          // No constructor runs, so the previous incarnation's contention
+          // heat is cleared by hand: a revived chunk starts cold (also
+          // the hysteresis that keeps a just-split chunk from immediately
+          // splitting again).
+          Policy::write(C->Heat, uint32_t{0}, std::memory_order_release,
+                        &C->Heat, MemField::Val);
+        });
+  }
+
+  /// Sorts the first \p N keys gathered from locked chunks. Insertion
+  /// sort is what std::sort itself runs on 16 or fewer keys (every
+  /// registered chunk shape); spelled out because GCC's -Warray-bounds
+  /// misreads std::sort's 16-element threshold on shorter buffers.
+  template <size_t Cap>
+  static void sortGathered(std::array<SetKey, Cap> &Keys, size_t N) {
+    for (size_t I = 1; I < N; ++I) {
+      const SetKey K = Keys[I];
+      size_t J = I;
+      for (; J != 0 && Keys[J - 1] > K; --J)
+        Keys[J] = Keys[J - 1];
+      Keys[J] = K;
     }
   }
 
@@ -1105,7 +1002,7 @@ private:
                                        &Slot, MemField::Val);
     }
     All[Total++] = Key;
-    std::sort(All.begin(), All.begin() + static_cast<ptrdiff_t>(Total));
+    sortGathered(All, Total);
     Chunk *NextC = Policy::readCheck(Curr->Next, std::memory_order_acquire,
                                      Curr, MemField::Next);
     Chunk *Replacement;
@@ -1314,7 +1211,7 @@ private:
                                          &Slot, MemField::Val);
       }
     }
-    std::sort(All.begin(), All.begin() + static_cast<ptrdiff_t>(Total));
+    sortGathered(All, Total);
     Chunk *NextOfN = Policy::readCheck(
         NextC->Next, std::memory_order_acquire, NextC, MemField::Next);
     Chunk *Replacement =

@@ -37,7 +37,7 @@
 #ifndef VBL_CORE_VBLLIST_H
 #define VBL_CORE_VBLLIST_H
 
-#include "analysis/FlowView.h"
+#include "analysis/QuiescentChain.h"
 #include "core/BatchOp.h"
 #include "core/SetConfig.h"
 #include "core/ValueAwareTryLock.h"
@@ -49,7 +49,6 @@
 
 #include <atomic>
 #include <functional>
-#include <new>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -59,7 +58,9 @@ namespace vbl {
 template <class ReclaimT = reclaim::EpochDomain,
           class PolicyT = DirectPolicy, class LockT = TasLock,
           bool RestartFromPrev = true, bool ValueAware = true>
-class VblList {
+class VblList
+    : public analysis::QuiescentChain<
+          VblList<ReclaimT, PolicyT, LockT, RestartFromPrev, ValueAware>> {
   /// Version-based reclamation changes the read protocol: nodes are
   /// revived in place, so keys become atomic (a revival overwrites them
   /// under readers), every traversal hop re-validates the node's birth
@@ -85,6 +86,9 @@ public:
   using Reclaim = ReclaimT;
   using Policy = PolicyT;
 
+  /// The Deleted flag; remove() unlinks before returning.
+  static constexpr analysis::FlowTraits Flow{};
+
   /// Opaque handle to a list node that the caller guarantees is never
   /// removed (the head sentinel, or the dummy nodes a split-ordered
   /// hash overlay pins into the list). Such a handle stays valid for
@@ -92,16 +96,11 @@ public:
   using BucketHandle = Node *;
 
   VblList() {
-    if constexpr (Versioned) {
-      // Sentinels need epoch headers too: traversals birth-check every
-      // node uniformly. A fresh domain's free lists are empty, so both
-      // are first incarnations (birth 0, accepted by every version).
-      Tail = makeNode(MaxSentinel);
-      Head = makeNode(MinSentinel);
-    } else {
-      Tail = reclaim::poolCreate<Node, Policy>(MaxSentinel);
-      Head = reclaim::poolCreate<Node, Policy>(MinSentinel);
-    }
+    // Under VBR sentinels need epoch headers too: traversals birth-check
+    // every node uniformly. A fresh domain's free lists are empty, so
+    // both are first incarnations (birth 0, accepted by every version).
+    Tail = makeNode(MaxSentinel);
+    Head = makeNode(MinSentinel);
     Head->Next.store(Tail, std::memory_order_relaxed);
   }
 
@@ -372,77 +371,20 @@ public:
   // Test and tooling support (not part of the concurrent hot path).
   //===--------------------------------------------------------------===//
 
-  /// Collects the user keys currently in the list. Quiescent use only.
-  std::vector<SetKey> snapshot() const {
-    std::vector<SetKey> Keys;
-    for (const Node *Curr = Head->Next.load(std::memory_order_acquire);
-         rawVal(Curr) != MaxSentinel;
-         Curr = Curr->Next.load(std::memory_order_acquire))
-      Keys.push_back(rawVal(Curr));
-    return Keys;
-  }
-
-  /// Structural invariants that must hold when no operation is running:
-  /// strictly sorted, properly terminated, nothing marked, nothing
-  /// locked. Returns false (and asserts in debug) on violation.
-  bool checkInvariants() const {
-    const Node *Curr = Head;
-    if (rawVal(Curr) != MinSentinel)
-      return false;
-    while (true) {
-      if (Curr->Deleted.load(std::memory_order_acquire))
-        return false;
-      if (Curr->NodeLock.isLocked())
-        return false;
-      const Node *Next = Curr->Next.load(std::memory_order_acquire);
-      if (rawVal(Curr) == MaxSentinel)
-        return Next == nullptr;
-      if (!Next || rawVal(Next) <= rawVal(Curr))
-        return false;
-      Curr = Next;
-    }
-  }
-
-  /// Number of user keys; O(n), quiescent use only.
-  size_t sizeSlow() const { return snapshot().size(); }
-
   Reclaim &reclaimDomain() { return Domain; }
 
-  /// Identity of the head sentinel (schedule exporters key off it).
-  const void *headNode() const { return Head; }
-
-  /// Quiescent-only: the (node, key) chain from head to tail inclusive,
-  /// used by the schedule checker to reconstruct list states.
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
     for (const Node *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, rawVal(Curr));
-    return Chain;
-  }
-
-  /// Self-description for the flow-invariant oracle. The describe walk
-  /// runs between scheduler steps (all workers parked at yields), uses
-  /// scheduler-invisible relaxed loads, and must tolerate mid-operation
-  /// states — hence the walk cap instead of structural assertions.
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = true;          // Deleted flag.
-    View.MarkedMayLinger = false; // remove() unlinks before returning.
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Node *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;
-           Curr = Curr->Next.load(std::memory_order_relaxed)) {
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = rawVal(Curr);
-        D.Marked = Curr->Deleted.load(std::memory_order_relaxed);
-        Chain.push_back(std::move(D));
-      }
-      return Chain;
-    };
-    return View;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = rawVal(Curr);
+      D.Marked = Curr->Deleted.load(std::memory_order_relaxed);
+      D.Locked = Curr->NodeLock.isLocked();
+      if (!V(D))
+        return;
+    }
   }
 
 private:
@@ -464,8 +406,7 @@ private:
       return Policy::readValue(N->Val, N);
   }
 
-  /// Scheduler-invisible key read for quiescent walks (snapshot,
-  /// invariants, flow descriptions).
+  /// Scheduler-invisible key read (the quiescent walk, handleKey).
   static SetKey rawVal(const Node *N) {
     if constexpr (Versioned)
       return N->Val.load(std::memory_order_relaxed);
@@ -473,34 +414,19 @@ private:
       return N->Val;
   }
 
-  /// Node allocation. Grace-period domains: pooled placement-new. VBR:
-  /// the domain may hand back a retired block whose previous
-  /// incarnation is still alive under a stale reader — no constructor
-  /// runs; the key and mark are release-stored over the old object,
-  /// ordered after the domain's birth stamp so any reader that sees the
-  /// new values also sees (and rejects on) the new birth epoch. The
-  /// lock is untouched: every retire path releases it first, so a
-  /// revived block's lock is free.
+  /// Node allocation (reclaim::domainCreate). A recycled VBR block's
+  /// previous incarnation may still be read by a stale traversal, so
+  /// the key and mark are release-stored over it, behind the domain's
+  /// birth stamp: a reader that sees the new values also sees (and
+  /// rejects on) the new birth epoch. The lock is untouched: every
+  /// retire path releases it first, so a revived block's lock is free.
   Node *makeNode(SetKey Key) {
-    if constexpr (Versioned) {
-      bool Fresh = false;
-      void *Mem = Domain.template allocBlockFor<Node>(Fresh);
-      if (Fresh) {
-        Node *N = ::new (Mem) Node(Key);
-        Policy::onNewNode(N, Key);
-        return N;
-      }
-      Node *N = std::launder(static_cast<Node *>(Mem));
+    return reclaim::domainCreate<Node, Policy>(Domain, Key, [Key](auto *N) {
       Policy::write(N->Val, Key, std::memory_order_release, N,
                     MemField::Val);
       Policy::write(N->Deleted, false, std::memory_order_release, N,
                     MemField::Marked);
-      return N;
-    } else {
-      Node *N = reclaim::poolCreate<Node, Policy>(Key);
-      Policy::onNewNode(N, Key);
-      return N;
-    }
+    });
   }
 
   //===--------------------------------------------------------------===//

@@ -89,17 +89,24 @@ private:
   std::vector<ThreadLog> Logs;
 };
 
-/// Reads \p Clock between two seq_cst fences. Every timestamp that
+/// Reads \p Clock between two full barriers. Every timestamp that
 /// feeds checkSetHistory must come from here. A bare clock read (the
 /// vDSO's `lfence; rdtsc`) does not drain the store buffer, and later
 /// loads may run before it, so under load an unfenced response stamp
 /// can precede the op's store becoming visible (and an invoke stamp can
 /// follow the op's first load). The checker then sees a real-time order
 /// the execution never had and reports a false violation.
+///
+/// Each barrier is a seq_cst read-modify-write of a thread-private
+/// word: on x86 a `lock`-prefixed instruction, the same kind GCC emits
+/// for a seq_cst fence (`lock or` on the stack). A fence itself does
+/// not build under GCC's -fsanitize=thread (-Wtsan), and a private word
+/// adds no synchronisation the sanitizer could mistake for a real one.
 inline uint64_t fencedStamp(uint64_t (*Clock)() = &nowNanos) {
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  thread_local std::atomic<uint32_t> Barrier{0};
+  Barrier.fetch_add(1, std::memory_order_seq_cst);
   const uint64_t Stamp = Clock();
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  Barrier.fetch_add(1, std::memory_order_seq_cst);
   return Stamp;
 }
 

@@ -27,7 +27,7 @@
 #ifndef VBL_LISTS_HANDOVERHANDLIST_H
 #define VBL_LISTS_HANDOVERHANDLIST_H
 
-#include "analysis/FlowView.h"
+#include "analysis/QuiescentChain.h"
 #include "core/SetConfig.h"
 #include "support/ThreadSafety.h"
 #include "sync/Policy.h"
@@ -42,9 +42,15 @@ namespace vbl {
 /// PolicyT comes last so the historical HandOverHandList<Lock> spelling
 /// keeps compiling.
 template <class LockT = TasLock, class PolicyT = DirectPolicy>
-class HandOverHandList {
+class HandOverHandList
+    : public analysis::QuiescentChain<HandOverHandList<LockT, PolicyT>> {
 public:
   using Policy = PolicyT;
+
+  /// HasMark is false: removal unlinks a live node under both locks and
+  /// frees it immediately, so the mark-related clauses do not apply and
+  /// unlinked nodes must never be tracked (they are gone).
+  static constexpr analysis::FlowTraits Flow{.HasMark = false};
 
   HandOverHandList() {
     Tail = new Node(MaxSentinel);
@@ -151,65 +157,17 @@ public:
     return Out.size() - Entry;
   }
 
-  std::vector<SetKey> snapshot() const {
-    std::vector<SetKey> Keys;
-    for (const Node *Curr = Head->Next.load(std::memory_order_relaxed);
-         Curr->Val != MaxSentinel;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Keys.push_back(Curr->Val);
-    return Keys;
-  }
-
-  bool checkInvariants() const {
-    const Node *Curr = Head;
-    if (Curr->Val != MinSentinel)
-      return false;
-    while (true) {
-      if (Curr->NodeLock.isLocked())
-        return false;
-      const Node *Next = Curr->Next.load(std::memory_order_relaxed);
-      if (Curr->Val == MaxSentinel)
-        return Next == nullptr;
-      if (!Next || Next->Val <= Curr->Val)
-        return false;
-      Curr = Next;
-    }
-  }
-
-  size_t sizeSlow() const { return snapshot().size(); }
-
-  /// Identity of the head sentinel (schedule exporters key off it).
-  const void *headNode() const { return Head; }
-
-  /// Quiescent-only: the (node, key) chain from head to tail inclusive.
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
     for (const Node *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, Curr->Val);
-    return Chain;
-  }
-
-  /// Self-description for the flow-invariant oracle. HasMark is false:
-  /// removal unlinks a live node under both locks and frees it
-  /// immediately, so the mark-related clauses do not apply and unlinked
-  /// nodes must never be tracked (they are gone).
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = false;
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Node *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;
-           Curr = Curr->Next.load(std::memory_order_relaxed)) {
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = Curr->Val;
-        Chain.push_back(std::move(D));
-      }
-      return Chain;
-    };
-    return View;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = Curr->Val;
+      D.Locked = Curr->NodeLock.isLocked();
+      if (!V(D))
+        return;
+    }
   }
 
 private:

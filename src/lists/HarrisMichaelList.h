@@ -32,7 +32,7 @@
 #ifndef VBL_LISTS_HARRISMICHAELLIST_H
 #define VBL_LISTS_HARRISMICHAELLIST_H
 
-#include "analysis/FlowView.h"
+#include "analysis/QuiescentChain.h"
 #include "core/SetConfig.h"
 #include "reclaim/EpochDomain.h"
 #include "reclaim/HazardPointerDomain.h"
@@ -49,7 +49,8 @@ namespace vbl {
 
 template <class ReclaimT = reclaim::EpochDomain,
           class PolicyT = DirectPolicy>
-class HarrisMichaelList {
+class HarrisMichaelList
+    : public analysis::QuiescentChain<HarrisMichaelList<ReclaimT, PolicyT>> {
   /// One node per cache line so a CAS on one node's tagged word never
   /// invalidates a neighbour.
   struct alignas(CacheLineBytes) Node {
@@ -69,6 +70,11 @@ public:
   using Reclaim = ReclaimT;
   using Policy = PolicyT;
   using Guard = typename Reclaim::Guard;
+
+  /// The mark is bit 0 of the node's own next word; marked nodes may
+  /// legally stay reachable after remove() returns (delegated physical
+  /// unlink).
+  static constexpr analysis::FlowTraits Flow{.MarkedMayLinger = true};
 
   /// Opaque handle to a list node that the caller guarantees is never
   /// removed (the head sentinel, or the dummy nodes a split-ordered
@@ -281,73 +287,20 @@ public:
     }
   }
 
-  std::vector<SetKey> snapshot() const {
-    std::vector<SetKey> Keys;
-    for (const Node *Curr =
-             ptrOf(Head->Next.load(std::memory_order_acquire));
-         Curr->Val != MaxSentinel;
-         Curr = ptrOf(Curr->Next.load(std::memory_order_acquire)))
-      if (!markOf(Curr->Next.load(std::memory_order_acquire)))
-        Keys.push_back(Curr->Val);
-    return Keys;
-  }
-
-  bool checkInvariants() const {
-    const Node *Curr = Head;
-    if (Curr->Val != MinSentinel)
-      return false;
-    while (true) {
-      const uintptr_t Word = Curr->Next.load(std::memory_order_acquire);
-      // Quiescent check: marked nodes may legally linger (delegated
-      // unlinks), but order must hold along the unmarked chain too.
-      const Node *Next = ptrOf(Word);
-      if (Curr->Val == MaxSentinel)
-        return Next == nullptr && !markOf(Word);
-      if (!Next || Next->Val <= Curr->Val)
-        return false;
-      Curr = Next;
-    }
-  }
-
-  size_t sizeSlow() const { return snapshot().size(); }
-
   Reclaim &reclaimDomain() { return Domain; }
 
-  /// Identity of the head sentinel (schedule exporters key off it).
-  const void *headNode() const { return Head; }
-
-  /// Quiescent-only: the (node, key) chain from head to tail inclusive
-  /// (marked nodes included — they are physically present).
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
-    for (const Node *Curr = Head; Curr;
-         Curr = ptrOf(Curr->Next.load(std::memory_order_relaxed)))
-      Chain.emplace_back(Curr, Curr->Val);
-    return Chain;
-  }
-
-  /// Self-description for the flow-invariant oracle. The mark is bit 0
-  /// of the node's own next word; marked nodes may legally stay
-  /// reachable after remove() returns (delegated physical unlink).
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = true;
-    View.MarkedMayLinger = true;
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Node *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;) {
-        const uintptr_t Word = Curr->Next.load(std::memory_order_relaxed);
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = Curr->Val;
-        D.Marked = markOf(Word);
-        Chain.push_back(std::move(D));
-        Curr = ptrOf(Word);
-      }
-      return Chain;
-    };
-    return View;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
+    for (const Node *Curr = Head; Curr;) {
+      const uintptr_t Word = Curr->Next.load(std::memory_order_relaxed);
+      D.Node = Curr;
+      D.Key = Curr->Val;
+      D.Marked = markOf(Word);
+      if (!V(D))
+        return;
+      Curr = ptrOf(Word);
+    }
   }
 
 private:

@@ -24,7 +24,7 @@
 #ifndef VBL_LISTS_LAZYLIST_H
 #define VBL_LISTS_LAZYLIST_H
 
-#include "analysis/FlowView.h"
+#include "analysis/QuiescentChain.h"
 #include "core/SetConfig.h"
 #include "reclaim/EpochDomain.h"
 #include "reclaim/NodePool.h"
@@ -34,7 +34,6 @@
 #include "sync/SpinLocks.h"
 
 #include <atomic>
-#include <new>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -43,7 +42,8 @@ namespace vbl {
 
 template <class ReclaimT = reclaim::EpochDomain,
           class PolicyT = DirectPolicy, class LockT = TasLock>
-class LazyList {
+class LazyList
+    : public analysis::QuiescentChain<LazyList<ReclaimT, PolicyT, LockT>> {
   /// Version-based reclamation: nodes are revived in place, keys become
   /// atomic, every traversal hop re-validates the node's birth epoch,
   /// and the second window lock degrades to a try-lock (a recycled curr
@@ -55,17 +55,15 @@ public:
   using Reclaim = ReclaimT;
   using Policy = PolicyT;
 
+  /// The Marked flag; remove() unlinks under its locks before returning.
+  static constexpr analysis::FlowTraits Flow{};
+
   LazyList() {
-    if constexpr (Versioned) {
-      // Sentinels carry epoch headers too (traversals birth-check every
-      // node); a fresh domain's free lists are empty so both are first
-      // incarnations with birth 0.
-      Tail = makeNode(MaxSentinel);
-      Head = makeNode(MinSentinel);
-    } else {
-      Tail = reclaim::poolCreate<Node, Policy>(MaxSentinel);
-      Head = reclaim::poolCreate<Node, Policy>(MinSentinel);
-    }
+    // Under VBR sentinels carry epoch headers too (traversals birth-check
+    // every node); a fresh domain's free lists are empty, so both are
+    // first incarnations with birth 0.
+    Tail = makeNode(MaxSentinel);
+    Head = makeNode(MinSentinel);
     Head->Next.store(Tail, std::memory_order_relaxed);
   }
 
@@ -289,69 +287,20 @@ public:
     }
   }
 
-  std::vector<SetKey> snapshot() const {
-    std::vector<SetKey> Keys;
-    for (const Node *Curr = Head->Next.load(std::memory_order_acquire);
-         rawVal(Curr) != MaxSentinel;
-         Curr = Curr->Next.load(std::memory_order_acquire))
-      Keys.push_back(rawVal(Curr));
-    return Keys;
-  }
-
-  bool checkInvariants() const {
-    const Node *Curr = Head;
-    if (rawVal(Curr) != MinSentinel)
-      return false;
-    while (true) {
-      if (Curr->Marked.load(std::memory_order_acquire))
-        return false;
-      if (Curr->NodeLock.isLocked())
-        return false;
-      const Node *Next = Curr->Next.load(std::memory_order_acquire);
-      if (rawVal(Curr) == MaxSentinel)
-        return Next == nullptr;
-      if (!Next || rawVal(Next) <= rawVal(Curr))
-        return false;
-      Curr = Next;
-    }
-  }
-
-  size_t sizeSlow() const { return snapshot().size(); }
-
   Reclaim &reclaimDomain() { return Domain; }
 
-  /// Identity of the head sentinel (schedule exporters key off it).
-  const void *headNode() const { return Head; }
-
-  /// Quiescent-only: the (node, key) chain from head to tail inclusive.
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
     for (const Node *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, rawVal(Curr));
-    return Chain;
-  }
-
-  /// Self-description for the flow-invariant oracle; scheduler-
-  /// invisible relaxed loads, tolerant of mid-operation states.
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = true;          // Marked flag.
-    View.MarkedMayLinger = false; // remove() unlinks under its locks.
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Node *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;
-           Curr = Curr->Next.load(std::memory_order_relaxed)) {
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = rawVal(Curr);
-        D.Marked = Curr->Marked.load(std::memory_order_relaxed);
-        Chain.push_back(std::move(D));
-      }
-      return Chain;
-    };
-    return View;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = rawVal(Curr);
+      D.Marked = Curr->Marked.load(std::memory_order_relaxed);
+      D.Locked = Curr->NodeLock.isLocked();
+      if (!V(D))
+        return;
+    }
   }
 
 private:
@@ -385,31 +334,16 @@ private:
       return N->Val;
   }
 
-  /// Node allocation; under VBR a recycled block is revived in place by
-  /// release stores over the still-alive previous incarnation (no
-  /// constructor — its plain writes would race stale readers), ordered
-  /// after the domain's birth stamp. Locks are never revived: retire
-  /// paths release them first.
+  /// Node allocation (reclaim::domainCreate); a recycled VBR block gets
+  /// its key and mark release-stored over the previous incarnation.
+  /// Locks are never revived: retire paths release them first.
   Node *makeNode(SetKey Key) {
-    if constexpr (Versioned) {
-      bool Fresh = false;
-      void *Mem = Domain.template allocBlockFor<Node>(Fresh);
-      if (Fresh) {
-        Node *N = ::new (Mem) Node(Key);
-        Policy::onNewNode(N, Key);
-        return N;
-      }
-      Node *N = std::launder(static_cast<Node *>(Mem));
+    return reclaim::domainCreate<Node, Policy>(Domain, Key, [Key](auto *N) {
       Policy::write(N->Val, Key, std::memory_order_release, N,
                     MemField::Val);
       Policy::write(N->Marked, false, std::memory_order_release, N,
                     MemField::Marked);
-      return N;
-    } else {
-      Node *N = reclaim::poolCreate<Node, Policy>(Key);
-      Policy::onNewNode(N, Key);
-      return N;
-    }
+    });
   }
 
   /// Second window lock. Blocking in traversal order is deadlock-free

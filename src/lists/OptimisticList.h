@@ -22,7 +22,7 @@
 #ifndef VBL_LISTS_OPTIMISTICLIST_H
 #define VBL_LISTS_OPTIMISTICLIST_H
 
-#include "analysis/FlowView.h"
+#include "analysis/QuiescentChain.h"
 #include "core/SetConfig.h"
 #include "reclaim/EpochDomain.h"
 #include "reclaim/NodePool.h"
@@ -41,10 +41,16 @@ namespace vbl {
 /// OptimisticList<Reclaim, Lock> spelling keeps compiling.
 template <class ReclaimT = reclaim::EpochDomain, class LockT = TasLock,
           class PolicyT = DirectPolicy>
-class OptimisticList {
+class OptimisticList : public analysis::QuiescentChain<
+                           OptimisticList<ReclaimT, LockT, PolicyT>> {
 public:
   using Reclaim = ReclaimT;
   using Policy = PolicyT;
+
+  /// HasMark is false: removal unlinks a live node under locks (no
+  /// logical-deletion flag), so the mark-related clauses do not apply
+  /// and unlinked nodes must not be tracked across steps.
+  static constexpr analysis::FlowTraits Flow{.HasMark = false};
 
   OptimisticList() {
     Tail = reclaim::poolCreate<Node, Policy>(MaxSentinel);
@@ -172,67 +178,19 @@ public:
     return Out.size() - Entry;
   }
 
-  std::vector<SetKey> snapshot() const {
-    std::vector<SetKey> Keys;
-    for (const Node *Curr = Head->Next.load(std::memory_order_acquire);
-         Curr->Val != MaxSentinel;
-         Curr = Curr->Next.load(std::memory_order_acquire))
-      Keys.push_back(Curr->Val);
-    return Keys;
-  }
-
-  bool checkInvariants() const {
-    const Node *Curr = Head;
-    if (Curr->Val != MinSentinel)
-      return false;
-    while (true) {
-      if (Curr->NodeLock.isLocked())
-        return false;
-      const Node *Next = Curr->Next.load(std::memory_order_acquire);
-      if (Curr->Val == MaxSentinel)
-        return Next == nullptr;
-      if (!Next || Next->Val <= Curr->Val)
-        return false;
-      Curr = Next;
-    }
-  }
-
-  size_t sizeSlow() const { return snapshot().size(); }
-
   Reclaim &reclaimDomain() { return Domain; }
 
-  /// Identity of the head sentinel (schedule exporters key off it).
-  const void *headNode() const { return Head; }
-
-  /// Quiescent-only: the (node, key) chain from head to tail inclusive.
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
     for (const Node *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, Curr->Val);
-    return Chain;
-  }
-
-  /// Self-description for the flow-invariant oracle. HasMark is false:
-  /// removal unlinks a live node under locks (no logical-deletion
-  /// flag), so the mark-related clauses do not apply — and unlinked
-  /// nodes must not be tracked across steps.
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = false;
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Node *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;
-           Curr = Curr->Next.load(std::memory_order_relaxed)) {
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = Curr->Val;
-        Chain.push_back(std::move(D));
-      }
-      return Chain;
-    };
-    return View;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = Curr->Val;
+      D.Locked = Curr->NodeLock.isLocked();
+      if (!V(D))
+        return;
+    }
   }
 
 private:

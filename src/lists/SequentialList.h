@@ -25,43 +25,33 @@
 #ifndef VBL_LISTS_SEQUENTIALLIST_H
 #define VBL_LISTS_SEQUENTIALLIST_H
 
+#include "analysis/QuiescentChain.h"
 #include "core/SetConfig.h"
 #include "support/Compiler.h"
 #include "sync/Policy.h"
 
-#include <algorithm>
 #include <atomic>
-#include <unordered_set>
 #include <vector>
 
 namespace vbl {
 
-template <class PolicyT = DirectPolicy> class SequentialList {
+/// States no flow traits: the explorer runs this list through wrong
+/// interleavings on purpose, so it never feeds the flow oracle.
+template <class PolicyT = DirectPolicy>
+class SequentialList
+    : public analysis::QuiescentChain<SequentialList<PolicyT>> {
 public:
   using Policy = PolicyT;
 
   SequentialList() {
-    Tail = new Node(MaxSentinel);
-    Head = new Node(MinSentinel);
+    Node *Tail = makeNode(MaxSentinel);
+    Head = makeNode(MinSentinel);
     Head->Next.store(Tail, std::memory_order_relaxed);
   }
 
   ~SequentialList() {
-    // Under the deterministic scheduler this list is deliberately run
-    // through *incorrect* interleavings too (that is the point of the
-    // schedule experiments), which can double-add a node to the garbage
-    // list or even re-link a garbage node into the chain. Deduplicate
-    // before freeing.
-    std::vector<Node *> ToFree;
-    std::unordered_set<Node *> Seen;
-    for (Node *Curr = Head; Curr && Seen.insert(Curr).second;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      ToFree.push_back(Curr);
-    ToFree.insert(ToFree.end(), Garbage.begin(), Garbage.end());
-    std::sort(ToFree.begin(), ToFree.end());
-    ToFree.erase(std::unique(ToFree.begin(), ToFree.end()), ToFree.end());
-    for (Node *Dead : ToFree)
-      delete Dead;
+    for (Node *N : Allocated)
+      delete N;
   }
 
   SequentialList(const SequentialList &) = delete;
@@ -82,7 +72,7 @@ public:
     }
     if (Val == Key)
       return false;
-    Node *NewNode = new Node(Key);
+    Node *NewNode = makeNode(Key);
     NewNode->Next.store(Curr, std::memory_order_relaxed);
     Policy::onNewNode(NewNode, Key);
     Policy::write(Prev->Next, NewNode, std::memory_order_relaxed, Prev,
@@ -90,8 +80,8 @@ public:
     return true;
   }
 
-  /// LL remove(v): lines 16-25 of Algorithm 1. The removed node is kept
-  /// in a garbage list because, under the deterministic scheduler, a
+  /// LL remove(v): lines 16-25 of Algorithm 1. The removed node stays
+  /// allocated until the list dies: under the deterministic scheduler a
   /// concurrent LL operation may still be positioned on it.
   bool remove(SetKey Key) {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
@@ -111,7 +101,6 @@ public:
                               MemField::Next);
     Policy::write(Prev->Next, Succ, std::memory_order_relaxed, Prev,
                   MemField::Next);
-    Garbage.push_back(Curr);
     return true;
   }
 
@@ -152,42 +141,16 @@ public:
     return Out.size() - Entry;
   }
 
-  std::vector<SetKey> snapshot() const {
-    std::vector<SetKey> Keys;
-    for (const Node *Curr = Head->Next.load(std::memory_order_relaxed);
-         Curr->Val != MaxSentinel;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Keys.push_back(Curr->Val);
-    return Keys;
-  }
-
-  bool checkInvariants() const {
-    const Node *Curr = Head;
-    if (Curr->Val != MinSentinel)
-      return false;
-    while (true) {
-      const Node *Next = Curr->Next.load(std::memory_order_relaxed);
-      if (Curr->Val == MaxSentinel)
-        return Next == nullptr;
-      if (!Next || Next->Val <= Curr->Val)
-        return false;
-      Curr = Next;
-    }
-  }
-
-  size_t sizeSlow() const { return snapshot().size(); }
-
-  /// Identity of the head sentinel (schedule exporters key off it).
-  const void *headNode() const { return Head; }
-
-  /// Quiescent-only: the (node, key) chain from head to tail inclusive,
-  /// used by the schedule checker to reconstruct list states.
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
     for (const Node *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, Curr->Val);
-    return Chain;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = Curr->Val;
+      if (!V(D))
+        return;
+    }
   }
 
 private:
@@ -200,9 +163,17 @@ private:
     std::atomic<Node *> Next{nullptr};
   };
 
+  /// Every node this list allocated, freed by the destructor. Wrong
+  /// interleavings lose links on purpose (a lost update leaves a node
+  /// neither reachable nor removed), so reachability cannot tell what
+  /// to free.
+  Node *makeNode(SetKey Key) {
+    Allocated.push_back(new Node(Key));
+    return Allocated.back();
+  }
+
   Node *Head;
-  Node *Tail;
-  std::vector<Node *> Garbage;
+  std::vector<Node *> Allocated;
 };
 
 } // namespace vbl

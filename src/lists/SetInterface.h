@@ -72,7 +72,9 @@ public:
 
   /// Quiescent-only: the user keys currently stored, in order.
   virtual std::vector<SetKey> snapshot() const = 0;
-  /// Quiescent-only: structural invariants of the underlying list.
+  /// Quiescent-only: structural invariants of the underlying list (for
+  /// the chain lists, the flow oracle's at-rest clauses; see
+  /// analysis/QuiescentChain.h).
   virtual bool checkInvariants() const = 0;
 
   /// Registry name of the algorithm backing this instance.

@@ -74,6 +74,7 @@
 #ifndef VBL_MAPS_SPLITORDEREDHASHSET_H
 #define VBL_MAPS_SPLITORDEREDHASHSET_H
 
+#include "analysis/FlowView.h"
 #include "core/SetConfig.h"
 #include "maps/SplitOrder.h"
 #include "reclaim/HazardPointerDomain.h"
@@ -250,12 +251,7 @@ public:
   /// the one underlying list under split-order keys that stay strictly
   /// inside the sentinel range (maps/SplitOrder.h static_asserts), so
   /// the substrate's own flow view is exactly the oracle's input.
-  /// SFINAE-gated so substrates without flowView() merely opt the hash
-  /// set out instead of breaking the build.
-  template <class S = Substrate>
-  auto flowView() -> decltype(std::declval<S &>().flowView()) {
-    return List.flowView();
-  }
+  analysis::FlowView flowView() const { return List.flowView(); }
 
   Substrate &substrate() { return List; }
 

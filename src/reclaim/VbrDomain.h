@@ -523,26 +523,36 @@ template <class DomainT>
 inline constexpr bool IsVersionedDomain =
     requires { typename DomainT::VersionedReclaimTag; };
 
-/// Allocation dispatch for lists templated over any reclamation domain:
-/// versioned domains allocate through the domain (revival path runs
-/// \p Revive over the still-alive previous incarnation), everything
-/// else takes the NodePool directly. \p Revive receives (T *, Args...)
-/// and must release-store every field.
-template <class T, class PolicyT, class DomainT, class ReviveFn,
-          class... Args>
-T *domainCreate(DomainT &Domain, ReviveFn &&Revive, Args &&...A) {
+/// Node allocation for lists templated over any reclamation domain. A
+/// fresh block (the NodePool under the grace-period domains, an unused
+/// slab block under VBR) is constructed as T(Key) and announced through
+/// PolicyT::onNewNode. A recycled VBR block is handed to \p Revive
+/// instead, with no constructor: its previous incarnation may still be
+/// read by a stale traversal, and its lock word and slab header are live
+/// type-stable state. Revive(T *) must release-store every field the
+/// new incarnation needs; the domain's birth stamp, published first,
+/// orders those stores for any reader that sees them. It is a generic
+/// lambda so that its body, which stores to fields that are only atomic
+/// under VBR, is never instantiated for the other domains.
+template <class T, class PolicyT, class DomainT, class ReviveFn>
+T *domainCreate(DomainT &Domain, int64_t Key, ReviveFn &&Revive) {
+  T *Node;
   if constexpr (IsVersionedDomain<DomainT>) {
     bool Fresh = false;
     void *Mem = Domain.template allocBlockFor<T>(Fresh);
-    if (Fresh)
-      return ::new (Mem) T(std::forward<Args>(A)...);
-    T *Prior = std::launder(static_cast<T *>(Mem));
-    Revive(Prior, std::forward<Args>(A)...);
-    return Prior;
+    if (!Fresh) {
+      Node = std::launder(static_cast<T *>(Mem));
+      Revive(Node);
+      return Node;
+    }
+    Node = ::new (Mem) T(Key);
   } else {
+    (void)Domain;
     (void)Revive;
-    return poolCreate<T, PolicyT>(std::forward<Args>(A)...);
+    Node = poolCreate<T, PolicyT>(Key);
   }
+  PolicyT::onNewNode(Node, Key);
+  return Node;
 }
 
 /// Retire dispatch: versioned domains stamp-and-recycle in place; the

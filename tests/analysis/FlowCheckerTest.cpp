@@ -38,12 +38,14 @@
 #include "lists/HarrisMichaelList.h"
 #include "lists/LazyList.h"
 #include "lists/OptimisticList.h"
+#include "lists/SequentialList.h"
 #include "maps/SplitOrderedHashSet.h"
 #include "reclaim/HazardPointerDomain.h"
 #include "reclaim/LeakyDomain.h"
 #include "sched/InterleavingExplorer.h"
 #include "stats/Stats.h"
 
+#include "RacyList.h"
 #include "sched/ScenarioCorpus.h"
 
 #include <gtest/gtest.h>
@@ -55,6 +57,15 @@ using namespace vbl;
 using namespace vbl::sched;
 
 namespace {
+
+// The LL spec and the race detector's toy list state no flow traits:
+// the explorer runs them through wrong interleavings on purpose, so
+// they must never feed the oracle through factoryForWith.
+template <class T>
+constexpr bool HasFlowView = requires(T &List) { List.flowView(); };
+static_assert(!HasFlowView<SequentialList<TracedPolicy>> &&
+              !HasFlowView<tests::RacyList<TracedPolicy>>);
+static_assert(HasFlowView<VblList<reclaim::LeakyDomain, TracedPolicy>>);
 
 size_t episodeCap() {
   if (const char *Env = std::getenv("VBL_EXPLORE_EPISODES"))

@@ -32,7 +32,7 @@
 #ifndef VBL_TESTS_ANALYSIS_FLOWMUTANTLISTS_H
 #define VBL_TESTS_ANALYSIS_FLOWMUTANTLISTS_H
 
-#include "analysis/FlowView.h"
+#include "analysis/QuiescentChain.h"
 #include "core/SetConfig.h"
 #include "support/Compiler.h"
 #include "sync/Policy.h"
@@ -49,9 +49,13 @@ namespace tests {
 /// Common flat-node scaffolding for the two flat mutants: a sorted
 /// list with a Marked flag, correct release publication and acquire
 /// traversal. Only remove() differs between the mutants.
-template <class PolicyT> class FlatMutantBase {
+template <class PolicyT>
+class FlatMutantBase
+    : public analysis::QuiescentChain<FlatMutantBase<PolicyT>> {
 public:
   using Policy = PolicyT;
+
+  static constexpr analysis::FlowTraits Flow{};
 
   struct Node {
     explicit Node(SetKey Val) : Val(Val) {}
@@ -101,34 +105,17 @@ public:
                          MemField::Marked);
   }
 
-  const void *headNode() const { return Head; }
-
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
     for (const Node *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, Curr->Val);
-    return Chain;
-  }
-
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = true;
-    View.MarkedMayLinger = false;
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Node *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;
-           Curr = Curr->Next.load(std::memory_order_relaxed)) {
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = Curr->Val;
-        D.Marked = Curr->Marked.load(std::memory_order_relaxed);
-        Chain.push_back(std::move(D));
-      }
-      return Chain;
-    };
-    return View;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = Curr->Val;
+      D.Marked = Curr->Marked.load(std::memory_order_relaxed);
+      if (!V(D))
+        return;
+    }
   }
 
 protected:
@@ -202,9 +189,12 @@ public:
 /// chunk) whose insert publishes every key into chunk A regardless of
 /// interval — keys >= 20 land outside A's keyset [10, 20), the exact
 /// shape F4 ChunkInterval rejects. remove/contains are honest.
-template <class PolicyT> class SloppyChunkList {
+template <class PolicyT>
+class SloppyChunkList
+    : public analysis::QuiescentChain<SloppyChunkList<PolicyT>> {
 public:
   using Policy = PolicyT;
+  static constexpr analysis::FlowTraits Flow{.IsChunked = true};
   static constexpr unsigned Capacity = 4;
   static constexpr SetKey AnchorA = 10;
   static constexpr SetKey AnchorB = 20;
@@ -285,48 +275,26 @@ public:
 
   bool contains(SetKey Key) const { return find(Key); }
 
-  const void *headNode() const { return Head; }
-
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
+    D.IsChunk = true;
+    D.Capacity = Capacity;
     for (const Chunk *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, Curr->Anchor);
-    return Chain;
-  }
-
-  analysis::FlowView flowView() {
-    analysis::FlowView View;
-    View.HasMark = true;
-    View.MarkedMayLinger = false;
-    View.IsChunked = true;
-    View.Describe = [this] {
-      std::vector<analysis::FlowNodeDesc> Chain;
-      for (const Chunk *Curr = Head;
-           Curr && Chain.size() < analysis::FlowWalkCap;
-           Curr = Curr->Next.load(std::memory_order_relaxed)) {
-        analysis::FlowNodeDesc D;
-        D.Node = Curr;
-        D.Key = Curr->Anchor;
-        D.Marked = Curr->Marked.load(std::memory_order_relaxed);
-        D.IsChunk = true;
-        D.FirstClean = Curr->FirstClean.load(std::memory_order_relaxed);
-        D.Capacity = Capacity;
-        const uint64_t Occ = Curr->Occ.load(std::memory_order_relaxed);
-        for (uint32_t I = 0; I < Capacity; ++I) {
-          if (!(Occ & (uint64_t{1} << I)))
-            continue;
-          analysis::FlowSlot Slot;
-          Slot.Index = I;
-          Slot.Key =
-              Curr->Keys[I].load(std::memory_order_relaxed);
-          D.Slots.push_back(Slot);
-        }
-        Chain.push_back(std::move(D));
-      }
-      return Chain;
-    };
-    return View;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = Curr->Anchor;
+      D.Marked = Curr->Marked.load(std::memory_order_relaxed);
+      D.FirstClean = Curr->FirstClean.load(std::memory_order_relaxed);
+      D.Slots.clear();
+      const uint64_t Occ = Curr->Occ.load(std::memory_order_relaxed);
+      for (uint32_t I = 0; I < Capacity; ++I)
+        if (Occ & (uint64_t{1} << I))
+          D.Slots.push_back(
+              {I, Curr->Keys[I].load(std::memory_order_relaxed)});
+      if (!V(D))
+        return;
+    }
   }
 
 private:

@@ -15,6 +15,11 @@
 ///   ForgetfulList   mark without unlinking -> F7 MarkedLingers
 ///   SloppyChunkList out-of-interval publish -> F4 ChunkInterval
 ///
+/// checkInvariants() runs the oracle's at-rest clauses, so the end
+/// state of a sequential run that seeds each bug must fail it for
+/// ForgetfulList (F7) and SloppyChunkList (F4) — and pass it for
+/// RudeList, whose F6 is a history clause its end state cannot show.
+///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/FlowInvariant.h"
@@ -26,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 using namespace vbl;
 using namespace vbl::sched;
@@ -114,6 +120,54 @@ TEST(FlowMutantsTest, OutOfIntervalPublishTripsChunkInterval) {
                    60000};
   expectMutantFlagged<tests::SloppyChunkList<TracedPolicy>>(
       S, analysis::FlowClause::ChunkInterval, "SloppyChunkList");
+}
+
+/// Every clause the at-rest pass finds in \p List's end state (where
+/// checkInvariants() stops at the first).
+template <class ListT>
+std::vector<analysis::FlowClause> atRestClauses(const ListT &List) {
+  analysis::ChainClauses Clauses(ListT::Flow, analysis::FlowPass::AtRest);
+  List.describeChain([&](const analysis::FlowNodeDesc &N) {
+    Clauses.visit(N);
+    return true;
+  });
+  Clauses.finish();
+  std::vector<analysis::FlowClause> Found;
+  for (const analysis::FlowViolation &V : Clauses.takeViolations())
+    Found.push_back(V.Clause);
+  return Found;
+}
+
+TEST(FlowMutantsTest, CheckInvariantsCatchesMarkWithoutUnlink) {
+  tests::ForgetfulList<DirectPolicy> List;
+  ASSERT_TRUE(List.insert(5));
+  ASSERT_TRUE(List.remove(5));
+  EXPECT_FALSE(List.checkInvariants());
+  EXPECT_EQ(atRestClauses(List),
+            std::vector<analysis::FlowClause>{
+                analysis::FlowClause::MarkedLingers});
+  EXPECT_TRUE(List.snapshot().empty()); // The marked node holds no key.
+}
+
+TEST(FlowMutantsTest, CheckInvariantsCatchesOutOfIntervalPublish) {
+  tests::SloppyChunkList<DirectPolicy> List;
+  ASSERT_TRUE(List.insert(12));
+  EXPECT_TRUE(List.checkInvariants());
+  ASSERT_TRUE(List.insert(25)); // Lands in chunk A, keyset [10, 20).
+  EXPECT_FALSE(List.checkInvariants());
+  EXPECT_EQ(atRestClauses(List),
+            std::vector<analysis::FlowClause>{
+                analysis::FlowClause::ChunkInterval});
+}
+
+TEST(FlowMutantsTest, CheckInvariantsPassesUnlinkWithoutMark) {
+  tests::RudeList<DirectPolicy> List;
+  ASSERT_TRUE(List.insert(5));
+  ASSERT_TRUE(List.insert(7));
+  ASSERT_TRUE(List.remove(5));
+  EXPECT_TRUE(List.checkInvariants());
+  EXPECT_TRUE(atRestClauses(List).empty());
+  EXPECT_EQ(List.snapshot(), std::vector<SetKey>{7});
 }
 
 } // namespace

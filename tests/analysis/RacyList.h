@@ -23,6 +23,7 @@
 #ifndef VBL_TESTS_ANALYSIS_RACYLIST_H
 #define VBL_TESTS_ANALYSIS_RACYLIST_H
 
+#include "analysis/QuiescentChain.h"
 #include "core/SetConfig.h"
 #include "support/Compiler.h"
 #include "sync/Policy.h"
@@ -34,7 +35,10 @@
 namespace vbl {
 namespace tests {
 
-template <class PolicyT> class RacyList {
+/// States no flow traits: the race detector's fixture never feeds the
+/// flow oracle.
+template <class PolicyT>
+class RacyList : public analysis::QuiescentChain<RacyList<PolicyT>> {
 public:
   using Policy = PolicyT;
 
@@ -107,14 +111,16 @@ public:
     return Policy::readValue(Curr->Val, Curr) == Key;
   }
 
-  const void *headNode() const { return Head; }
-
-  std::vector<std::pair<const void *, SetKey>> nodeChain() const {
-    std::vector<std::pair<const void *, SetKey>> Chain;
+  /// The quiescent walk (analysis/QuiescentChain.h).
+  template <class Visit> void describeChain(Visit &&V) const {
+    analysis::FlowNodeDesc D;
     for (const Node *Curr = Head; Curr;
-         Curr = Curr->Next.load(std::memory_order_relaxed))
-      Chain.emplace_back(Curr, Curr->Val);
-    return Chain;
+         Curr = Curr->Next.load(std::memory_order_relaxed)) {
+      D.Node = Curr;
+      D.Key = Curr->Val;
+      if (!V(D))
+        return;
+    }
   }
 
 private:

@@ -105,11 +105,21 @@ TEST_P(AllListsTest, AscendingInsertDescendingRemove) {
 }
 
 TEST_P(AllListsTest, DescendingInsertAscendingRemove) {
-  for (SetKey Key = 63; Key >= 0; --Key)
-    EXPECT_TRUE(Set->insert(Key));
-  for (SetKey Key = 0; Key != 64; ++Key)
-    EXPECT_TRUE(Set->remove(Key));
-  EXPECT_TRUE(Set->snapshot().empty());
+  // 10000 is more nodes than the flow view's FlowWalkCap (4096), and,
+  // inserted descending, as many singleton chunks: checkInvariants()
+  // and snapshot() walk the whole chain, so a capped walk fails both.
+  for (SetKey N : {SetKey{64}, SetKey{10000}}) {
+    for (SetKey Key = N - 1; Key >= 0; --Key)
+      ASSERT_TRUE(Set->insert(Key)) << Key;
+    EXPECT_TRUE(Set->checkInvariants()) << N;
+    const std::vector<SetKey> Snap = Set->snapshot();
+    ASSERT_EQ(Snap.size(), static_cast<size_t>(N));
+    for (SetKey Key = 0; Key != N; ++Key)
+      ASSERT_EQ(Snap[static_cast<size_t>(Key)], Key);
+    for (SetKey Key = 0; Key != N; ++Key)
+      ASSERT_TRUE(Set->remove(Key)) << Key;
+    EXPECT_TRUE(Set->snapshot().empty());
+  }
 }
 
 TEST_P(AllListsTest, DifferentialAgainstStdSet) {

@@ -148,14 +148,22 @@ TYPED_TEST(ChunkVariantTest, AscendingOverflowSplitsChunks) {
 }
 
 TYPED_TEST(ChunkVariantTest, DescendingInsertsSpliceBelowEveryAnchor) {
-  TypeParam List;
-  // Every insert is below every existing anchor: the head-splice path.
-  for (SetKey Key = 50; Key >= 1; --Key)
-    ASSERT_TRUE(List.insert(Key));
-  EXPECT_TRUE(List.checkInvariants());
-  EXPECT_EQ(List.sizeSlow(), 50u);
-  for (SetKey Key = 1; Key <= 50; ++Key)
-    EXPECT_TRUE(List.contains(Key)) << Key;
+  // Every insert is below every existing anchor: the head-splice path,
+  // one singleton chunk per key. 10000 chunks is more than the flow
+  // view's FlowWalkCap, so the quiescent walk must not stop at the cap.
+  for (SetKey N : {SetKey{50}, SetKey{10000}}) {
+    TypeParam List;
+    for (SetKey Key = N; Key >= 1; --Key)
+      ASSERT_TRUE(List.insert(Key));
+    EXPECT_TRUE(List.checkInvariants()) << N;
+    EXPECT_EQ(List.chunkCountSlow(), static_cast<size_t>(N));
+    const std::vector<SetKey> Snap = List.snapshot();
+    ASSERT_EQ(Snap.size(), static_cast<size_t>(N));
+    for (SetKey Key = 1; Key <= N; ++Key)
+      ASSERT_EQ(Snap[static_cast<size_t>(Key - 1)], Key);
+    for (SetKey Key = 1; Key <= N; Key += N / 50) // Every key of 50.
+      EXPECT_TRUE(List.contains(Key)) << Key;
+  }
 }
 
 TYPED_TEST(ChunkVariantTest, EmptiedChunksAreUnlinked) {
