@@ -43,6 +43,12 @@
 /// Deadlock freedom: every multi-lock acquisition takes (pred, chunk)
 /// in list order, and anchors — the order — are immutable.
 ///
+/// Sorted batches (applyBatchSorted) run the same per-op cores as
+/// insert/remove/contains under one reclaim guard, and carry a cursor —
+/// the chunk the previous op routed to — from op to op: the paper's
+/// restart-from-prev at chunk granularity (resume() says why a cursor
+/// chunk read unmarked is a valid place to start a route).
+///
 /// Known husk case: a chunk whose slots are all dirty (FirstClean ==
 /// ChunkKeys) and whose occupancy is zero survives until a later insert
 /// routed to it compacts it away; unlink is attempted eagerly by the
@@ -76,6 +82,7 @@
 #define VBL_CORE_VBLCHUNKLIST_H
 
 #include "analysis/QuiescentChain.h"
+#include "core/BatchOp.h"
 #include "core/ChunkLock.h"
 #include "core/SetConfig.h"
 #include "reclaim/EpochDomain.h"
@@ -205,106 +212,8 @@ public:
   bool insert(SetKey Key) {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
     typename Reclaim::Guard G(Domain);
-    for (;;) {
-      auto [Pred, Curr] = route(Key, G);
-      (void)Pred;
-      if (Curr == Head) {
-        // Below every anchor: splice a fresh singleton chunk after the
-        // head sentinel (the head never stores keys, so no existing
-        // chunk can legally receive a key under its anchor).
-        if (spliceAfterHead(Key))
-          return true;
-        Policy::onRestart();
-        continue;
-      }
-      // Optimistic phase: version probe first so the scan can double as
-      // the lock's validation (ChunkLock fast path), then liveness,
-      // then the data decision.
-      const uint64_t Seen =
-          Curr->Lock.template optimisticVersion<Policy>(Curr);
-      if (Policy::read(Curr->Marked, std::memory_order_acquire, Curr,
-                       MemField::Marked)) {
-        Policy::onRestart();
-        continue;
-      }
-      const uint64_t Occ = Policy::read(
-          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
-      const int Found = scanFor(Curr, Occ, Key);
-      if constexpr (Versioned) {
-        // The Marked/Occ/slot reads above may be of a revived block: the
-        // lock's version fast path cannot catch cross-incarnation reuse
-        // on its own (the freelist round trip performs no lock traffic),
-        // so certify the incarnation before trusting the scan or handing
-        // Seen to the fast path.
-        if (!Domain.validAt(Curr, G.version())) {
-          G.refresh();
-          Policy::onRestart();
-          continue;
-        }
-      }
-      if (Found >= 0)
-        return false; // Present: decided from data alone, no lock taken.
-      if constexpr (Adaptive) {
-        // A contended chunk skips the single-lock fast path: the
-        // structural path splits it at the median so the colliding keys
-        // end up behind different locks (small effective K where it
-        // hurts). The replacement halves start cold.
-        if (heatOf(Curr) >= HotSplitThreshold) {
-          const int Out = structuralInsert(Key, G);
-          if (Out >= 0)
-            return Out != 0;
-          Policy::onRestart();
-          continue;
-        }
-      }
-      bool FoundUnderLock = false;
-      const bool Locked = Curr->Lock.template acquireIfValidSince<Policy>(
-          Curr, Seen, [&] {
-            if (Policy::readCheck(Curr->Marked, std::memory_order_acquire,
-                                  Curr, MemField::Marked))
-              return false;
-            const uint64_t O =
-                Policy::readCheck(Curr->Occ, std::memory_order_acquire,
-                                  &Curr->Occ, MemField::Marked);
-            const int FoundHere = scanForCheck(Curr, O, Key);
-            if constexpr (Versioned) {
-              // Birth last: only a certified incarnation's scan may
-              // produce the authoritative "present" answer below.
-              if (!Domain.validAt(Curr, G.version()))
-                return false;
-            }
-            if (FoundHere >= 0) {
-              FoundUnderLock = true;
-              return false;
-            }
-            return true;
-          });
-      if (!Locked) {
-        if (FoundUnderLock)
-          return false; // Value validation decided "present" — no retry.
-        stats::bump(stats::Counter::ChunkValidationAborts);
-        noteContention(Curr);
-        Policy::onRestart();
-        continue;
-      }
-      // Locked, key absent, chunk live and still covering Key (anchors
-      // of a live chunk's successor never decrease).
-      const uint32_t FC =
-          Policy::readCheck(Curr->FirstClean, std::memory_order_relaxed,
-                            &Curr->FirstClean, MemField::Marked);
-      if (FC < ChunkKeys) {
-        storeSlot(Curr, FC, Key);
-        Curr->Lock.template release<Policy>(Curr);
-        return true;
-      }
-      // No clean slot: structural path (freeze and replace), which must
-      // take the predecessor's lock first — release and redo as a pair.
-      Curr->Lock.template release<Policy>(Curr);
-      const int Out = structuralInsert(Key, G);
-      if (Out >= 0)
-        return Out != 0;
-      Policy::onRestart();
-    }
+    Cursor At = headCursor();
+    return insertCore(Key, At, G);
   }
 
   /// Removes \p Key; true iff it was present. Never locks when the key
@@ -312,90 +221,8 @@ public:
   bool remove(SetKey Key) {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
     typename Reclaim::Guard G(Domain);
-    for (;;) {
-      auto [Pred, Curr] = route(Key, G);
-      if (Curr == Head)
-        return false; // Below every anchor: absent at the route's read.
-      const uint64_t Seen =
-          Curr->Lock.template optimisticVersion<Policy>(Curr);
-      // Liveness must be read between probe and acquire, exactly like
-      // insert: the lock's fast path only certifies facts observed
-      // after the probe. Without this read, a fresh probe on a chunk
-      // frozen just before it takes the fast path and clears a slot in
-      // the retired copy while the replacement keeps the key — a lost
-      // remove.
-      if (Policy::read(Curr->Marked, std::memory_order_acquire, Curr,
-                       MemField::Marked)) {
-        Policy::onRestart();
-        continue;
-      }
-      const uint64_t Occ = Policy::read(
-          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
-      int Slot = scanFor(Curr, Occ, Key);
-      if constexpr (Versioned) {
-        // Same incarnation certification as insert: the absent answer
-        // and the probe version are only meaningful for the chunk the
-        // route certified, not a revived reuse of its block.
-        if (!Domain.validAt(Curr, G.version())) {
-          G.refresh();
-          Policy::onRestart();
-          continue;
-        }
-      }
-      if (Slot < 0)
-        return false; // Absent: decided from data alone, no lock taken.
-      bool AbsentUnderLock = false;
-      uint64_t OccHeld = Occ;
-      const bool Locked = Curr->Lock.template acquireIfValidSince<Policy>(
-          Curr, Seen, [&] {
-            if (Policy::readCheck(Curr->Marked, std::memory_order_acquire,
-                                  Curr, MemField::Marked))
-              return false;
-            OccHeld =
-                Policy::readCheck(Curr->Occ, std::memory_order_acquire,
-                                  &Curr->Occ, MemField::Marked);
-            Slot = scanForCheck(Curr, OccHeld, Key);
-            if constexpr (Versioned) {
-              // Birth last, before the scan's result is trusted.
-              if (!Domain.validAt(Curr, G.version()))
-                return false;
-            }
-            if (Slot < 0) {
-              AbsentUnderLock = true;
-              return false;
-            }
-            return true;
-          });
-      if (!Locked) {
-        if (AbsentUnderLock)
-          return false; // Live chunk covering Key lacks it: authoritative.
-        stats::bump(stats::Counter::ChunkValidationAborts);
-        noteContention(Curr);
-        Policy::onRestart();
-        continue;
-      }
-      const uint64_t NewOcc = OccHeld & ~(uint64_t{1} << Slot);
-      Policy::write(Curr->Occ, NewOcc, std::memory_order_release,
-                    &Curr->Occ, MemField::Marked);
-      Curr->Lock.template release<Policy>(Curr);
-      if (NewOcc == 0) {
-        tryUnlinkEmpty(Pred, Curr, G);
-      } else if constexpr (Adaptive) {
-        // Cold-compaction trigger: a quarter-full chunk (or a singleton,
-        // which is pure pointer overhead at any K) with no recent
-        // contention folds into its successor when the union fits —
-        // read-mostly sparse runs drift back toward large effective K.
-        // Quarter, not half: split fires at full, so merging anything
-        // denser re-creates near-full chunks that the next insert
-        // splits again — at the harness's steady-state density of 1/2 a
-        // half-full trigger thrashes split/merge on every other update.
-        const unsigned Pop = static_cast<unsigned>(std::popcount(NewOcc));
-        if ((Pop == 1 || 4 * Pop <= ChunkKeys) &&
-            heatOf(Curr) < HotSplitThreshold)
-          tryMergeWithNext(Pred, Curr, G);
-      }
-      return true;
-    }
+    Cursor At = headCursor();
+    return removeCore(Key, At, G);
   }
 
   /// Wait-free membership test: anchors route, one occupancy snapshot
@@ -406,26 +233,27 @@ public:
   bool contains(SetKey Key) const {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
     typename Reclaim::Guard G(Domain);
-    if constexpr (Versioned) {
-      for (;;) {
-        auto [Pred, Curr] = route(Key, G);
-        (void)Pred;
-        const uint64_t Occ =
-            Policy::read(Curr->Occ, std::memory_order_acquire, &Curr->Occ,
-                         MemField::Marked);
-        const int Found = scanFor(Curr, Occ, Key);
-        if (Domain.validAt(Curr, G.version()))
-          return Found >= 0;
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
-      auto [Pred, Curr] = route(Key, G);
-      (void)Pred;
-      const uint64_t Occ = Policy::read(
-          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
-      return scanFor(Curr, Occ, Key) >= 0;
-    }
+    Cursor At = headCursor();
+    return containsCore(Key, At, G);
+  }
+
+  /// Applies \p N point ops, given as pointers in ascending-key order
+  /// (same-key ops in submission order; see applySortedPointOps), under
+  /// ONE reclaim guard. Each op routes from the chunk the previous op
+  /// routed to — restart-from-prev at chunk granularity — whenever an
+  /// acquire re-read finds that chunk unmarked, and from the head
+  /// otherwise (see resume()). B sorted ops over an n-chunk list cost
+  /// roughly one n-hop pass plus B in-chunk decisions instead of B full
+  /// routes. The per-op protocol is the one insert/remove/contains run:
+  /// they share the same cores. Under VBR every op routes from the head
+  /// and only the shared guard is amortized, as in VblList.
+  void applyBatchSorted(BatchOp *const *Ops, size_t N) {
+    typename Reclaim::Guard G(Domain);
+    Cursor At = headCursor();
+    applySortedPointOps(
+        Ops, N, [&](SetKey Key) { return insertCore(Key, At, G); },
+        [&](SetKey Key) { return removeCore(Key, At, G); },
+        [&](SetKey Key) { return containsCore(Key, At, G); });
   }
 
   /// Linearizable range scan: appends every key in [Lo, Hi] to \p Out,
@@ -589,20 +417,62 @@ private:
       return C->Anchor;
   }
 
-  /// Anchor routing: returns (Pred, Curr) with Pred->Next observed ==
-  /// Curr and Anchor(Curr) <= Key < Anchor of Curr's successor at the
-  /// reads. Pred is null exactly when Curr is the head sentinel (Key is
-  /// below every anchor). Wait-free in the non-versioned domains:
-  /// anchors are immutable and the walk only follows Next pointers
-  /// forward. Under VBR every hop reads the candidate's anchor and next
-  /// pointer FIRST and certifies its birth epoch AFTER — a revival
-  /// publishes the new birth before any new field value, so a passing
-  /// check retroactively validates both reads — and a stale incarnation
-  /// restarts the walk from the never-retired head with a refreshed
-  /// version.
-  std::pair<Chunk *, Chunk *> route(SetKey Key,
-                                    typename Reclaim::Guard &G) const {
+  /// A routed position: Curr is the chunk a route ended at, Pred the
+  /// chunk it came through (null exactly when Curr is the head
+  /// sentinel). A sorted batch carries one across its ops, so Pred may
+  /// be stale by the time it is used: every user re-validates it under
+  /// its lock (tryUnlinkEmpty, tryMergeWithNext) or re-routes
+  /// (structuralInsert).
+  struct Cursor {
+    Chunk *Pred;
+    Chunk *Curr;
+  };
+
+  Cursor headCursor() const { return {nullptr, Head}; }
+
+  /// Where the next route starts: \p At when an acquire re-read finds
+  /// its chunk unmarked, else the head. Sound because every path that
+  /// takes a chunk out of the list — freeze-and-replace, unlink, merge
+  /// — marks it under its lock before the swing, so a chunk read
+  /// unmarked is still linked at that read; anchors are immutable, so
+  /// walking on from it is the same as a head walk that has just
+  /// reached it (the key is at least its anchor: ops arrive in key
+  /// order, and a restart keeps its key). The cursor never outlives
+  /// the guard its route ran under, so its chunks are not freed under
+  /// it. Under VBR a carried chunk may be a revived block, which no
+  /// mark read can tell apart, so every route starts at the head.
+  Cursor resume(const Cursor &At) const {
+    if constexpr (!Versioned) {
+      if (At.Curr == Head ||
+          !Policy::read(At.Curr->Marked, std::memory_order_acquire, At.Curr,
+                        MemField::Marked))
+        return At;
+    }
+    return headCursor();
+  }
+
+  /// Anchor routing from the head: see the cursor overload.
+  Cursor route(SetKey Key, typename Reclaim::Guard &G) const {
+    return route(Key, headCursor(), G);
+  }
+
+  /// Anchor routing from \p From (the head, or a resume()d cursor whose
+  /// anchor is <= Key): returns (Pred, Curr) with Anchor(Curr) <= Key <
+  /// Anchor of Curr's successor at the reads. When the walk advances,
+  /// Pred->Next was observed == Curr; when it does not, Pred is
+  /// From.Pred. Pred is null exactly when Curr is the head sentinel
+  /// (Key is below every anchor). Wait-free in the non-versioned
+  /// domains: anchors are immutable and the walk only follows Next
+  /// pointers forward. Under VBR (always from the head) every hop reads
+  /// the candidate's anchor and next pointer FIRST and certifies its
+  /// birth epoch AFTER — a revival publishes the new birth before any
+  /// new field value, so a passing check retroactively validates both
+  /// reads — and a stale incarnation restarts the walk from the
+  /// never-retired head with a refreshed version.
+  Cursor route(SetKey Key, Cursor From, typename Reclaim::Guard &G) const {
     if constexpr (Versioned) {
+      VBL_ASSERT(From.Curr == Head, "VBR routes start at the head");
+      (void)From;
       for (;;) {
         Chunk *Pred = nullptr;
         Chunk *Curr = Head;
@@ -636,8 +506,7 @@ private:
       }
     } else {
       (void)G;
-      Chunk *Pred = nullptr;
-      Chunk *Curr = Head;
+      auto [Pred, Curr] = From;
       Chunk *Next = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
                                  MemField::Next);
       uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
@@ -659,6 +528,226 @@ private:
         VBL_PREFETCH(&Curr->Keys[0]);
       stats::noteTraversal(Hops);
       return {Pred, Curr};
+    }
+  }
+
+  //===--------------------------------------------------------------===//
+  // Operation cores: the per-op protocol loops with the reclaim guard
+  // and the route's start hoisted out, shared by the single-op entry
+  // points (a fresh head cursor) and applyBatchSorted (one cursor
+  // carried across the batch). Every attempt routes from resume(At)
+  // and leaves its route in At, so a restart, like the next op of a
+  // batch, resumes from the chunk the failed attempt routed to while
+  // that chunk is unmarked.
+  //===--------------------------------------------------------------===//
+
+  bool insertCore(SetKey Key, Cursor &At, typename Reclaim::Guard &G) {
+    for (;;) {
+      At = route(Key, resume(At), G);
+      Chunk *Curr = At.Curr;
+      if (Curr == Head) {
+        // Below every anchor: splice a fresh singleton chunk after the
+        // head sentinel (the head never stores keys, so no existing
+        // chunk can legally receive a key under its anchor).
+        if (spliceAfterHead(Key))
+          return true;
+        Policy::onRestart();
+        continue;
+      }
+      // Optimistic phase: version probe first so the scan can double as
+      // the lock's validation (ChunkLock fast path), then liveness,
+      // then the data decision.
+      const uint64_t Seen =
+          Curr->Lock.template optimisticVersion<Policy>(Curr);
+      if (Policy::read(Curr->Marked, std::memory_order_acquire, Curr,
+                       MemField::Marked)) {
+        Policy::onRestart();
+        continue;
+      }
+      const uint64_t Occ = Policy::read(
+          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
+      const int Found = scanFor(Curr, Occ, Key);
+      if constexpr (Versioned) {
+        // The Marked/Occ/slot reads above may be of a revived block: the
+        // lock's version fast path cannot catch cross-incarnation reuse
+        // on its own (the freelist round trip performs no lock traffic),
+        // so certify the incarnation before trusting the scan or handing
+        // Seen to the fast path.
+        if (!Domain.validAt(Curr, G.version())) {
+          G.refresh();
+          Policy::onRestart();
+          continue;
+        }
+      }
+      if (Found >= 0)
+        return false; // Present: decided from data alone, no lock taken.
+      if constexpr (Adaptive) {
+        // A contended chunk skips the single-lock fast path: the
+        // structural path splits it at the median so the colliding keys
+        // end up behind different locks (small effective K where it
+        // hurts). The replacement halves start cold.
+        if (heatOf(Curr) >= HotSplitThreshold) {
+          const int Out = structuralInsert(Key, G);
+          if (Out >= 0)
+            return Out != 0;
+          Policy::onRestart();
+          continue;
+        }
+      }
+      bool FoundUnderLock = false;
+      const bool Locked = Curr->Lock.template acquireIfValidSince<Policy>(
+          Curr, Seen, [&] {
+            if (Policy::readCheck(Curr->Marked, std::memory_order_acquire,
+                                  Curr, MemField::Marked))
+              return false;
+            const uint64_t O =
+                Policy::readCheck(Curr->Occ, std::memory_order_acquire,
+                                  &Curr->Occ, MemField::Marked);
+            const int FoundHere = scanForCheck(Curr, O, Key);
+            if constexpr (Versioned) {
+              // Birth last: only a certified incarnation's scan may
+              // produce the authoritative "present" answer below.
+              if (!Domain.validAt(Curr, G.version()))
+                return false;
+            }
+            if (FoundHere >= 0) {
+              FoundUnderLock = true;
+              return false;
+            }
+            return true;
+          });
+      if (!Locked) {
+        if (FoundUnderLock)
+          return false; // Value validation decided "present" — no retry.
+        stats::bump(stats::Counter::ChunkValidationAborts);
+        noteContention(Curr);
+        Policy::onRestart();
+        continue;
+      }
+      // Locked, key absent, chunk live and still covering Key (anchors
+      // of a live chunk's successor never decrease).
+      const uint32_t FC =
+          Policy::readCheck(Curr->FirstClean, std::memory_order_relaxed,
+                            &Curr->FirstClean, MemField::Marked);
+      if (FC < ChunkKeys) {
+        storeSlot(Curr, FC, Key);
+        Curr->Lock.template release<Policy>(Curr);
+        return true;
+      }
+      // No clean slot: structural path (freeze and replace), which must
+      // take the predecessor's lock first — release and redo as a pair.
+      Curr->Lock.template release<Policy>(Curr);
+      const int Out = structuralInsert(Key, G);
+      if (Out >= 0)
+        return Out != 0;
+      Policy::onRestart();
+    }
+  }
+
+  bool removeCore(SetKey Key, Cursor &At, typename Reclaim::Guard &G) {
+    for (;;) {
+      At = route(Key, resume(At), G);
+      auto [Pred, Curr] = At;
+      if (Curr == Head)
+        return false; // Below every anchor: absent at the route's read.
+      const uint64_t Seen =
+          Curr->Lock.template optimisticVersion<Policy>(Curr);
+      // Liveness must be read between probe and acquire, exactly like
+      // insert: the lock's fast path only certifies facts observed
+      // after the probe. Without this read, a fresh probe on a chunk
+      // frozen just before it takes the fast path and clears a slot in
+      // the retired copy while the replacement keeps the key — a lost
+      // remove.
+      if (Policy::read(Curr->Marked, std::memory_order_acquire, Curr,
+                       MemField::Marked)) {
+        Policy::onRestart();
+        continue;
+      }
+      const uint64_t Occ = Policy::read(
+          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
+      int Slot = scanFor(Curr, Occ, Key);
+      if constexpr (Versioned) {
+        // Same incarnation certification as insert: the absent answer
+        // and the probe version are only meaningful for the chunk the
+        // route certified, not a revived reuse of its block.
+        if (!Domain.validAt(Curr, G.version())) {
+          G.refresh();
+          Policy::onRestart();
+          continue;
+        }
+      }
+      if (Slot < 0)
+        return false; // Absent: decided from data alone, no lock taken.
+      bool AbsentUnderLock = false;
+      uint64_t OccHeld = Occ;
+      const bool Locked = Curr->Lock.template acquireIfValidSince<Policy>(
+          Curr, Seen, [&] {
+            if (Policy::readCheck(Curr->Marked, std::memory_order_acquire,
+                                  Curr, MemField::Marked))
+              return false;
+            OccHeld =
+                Policy::readCheck(Curr->Occ, std::memory_order_acquire,
+                                  &Curr->Occ, MemField::Marked);
+            Slot = scanForCheck(Curr, OccHeld, Key);
+            if constexpr (Versioned) {
+              // Birth last, before the scan's result is trusted.
+              if (!Domain.validAt(Curr, G.version()))
+                return false;
+            }
+            if (Slot < 0) {
+              AbsentUnderLock = true;
+              return false;
+            }
+            return true;
+          });
+      if (!Locked) {
+        if (AbsentUnderLock)
+          return false; // Live chunk covering Key lacks it: authoritative.
+        stats::bump(stats::Counter::ChunkValidationAborts);
+        noteContention(Curr);
+        Policy::onRestart();
+        continue;
+      }
+      const uint64_t NewOcc = OccHeld & ~(uint64_t{1} << Slot);
+      Policy::write(Curr->Occ, NewOcc, std::memory_order_release,
+                    &Curr->Occ, MemField::Marked);
+      Curr->Lock.template release<Policy>(Curr);
+      if (NewOcc == 0) {
+        tryUnlinkEmpty(Pred, Curr, G);
+      } else if constexpr (Adaptive) {
+        // Cold-compaction trigger: a quarter-full chunk (or a singleton,
+        // which is pure pointer overhead at any K) with no recent
+        // contention folds into its successor when the union fits —
+        // read-mostly sparse runs drift back toward large effective K.
+        // Quarter, not half: split fires at full, so merging anything
+        // denser re-creates near-full chunks that the next insert
+        // splits again — at the harness's steady-state density of 1/2 a
+        // half-full trigger thrashes split/merge on every other update.
+        const unsigned Pop = static_cast<unsigned>(std::popcount(NewOcc));
+        if ((Pop == 1 || 4 * Pop <= ChunkKeys) &&
+            heatOf(Curr) < HotSplitThreshold)
+          tryMergeWithNext(Pred, Curr, G);
+      }
+      return true;
+    }
+  }
+
+  bool containsCore(SetKey Key, Cursor &At,
+                    typename Reclaim::Guard &G) const {
+    for (;;) {
+      At = route(Key, resume(At), G);
+      Chunk *Curr = At.Curr;
+      const uint64_t Occ = Policy::read(
+          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
+      const int Found = scanFor(Curr, Occ, Key);
+      if constexpr (Versioned) {
+        if (!Domain.validAt(Curr, G.version())) {
+          G.refresh();
+          Policy::onRestart();
+          continue;
+        }
+      }
+      return Found >= 0;
     }
   }
 
@@ -709,10 +798,11 @@ private:
   /// Range-scan fallback: collect each window chunk's keys under its
   /// own lock, hand-over-chunk. Only per-chunk atomicity (every key is
   /// read under a lock, so per-key linearizability holds — the same
-  /// guarantee contains() gives). The anchor cursor makes restarts
-  /// (frozen chunk found at acquire time) re-route without duplicating
-  /// keys already committed: a chunk's keys are all >= its anchor, and
-  /// the cursor only advances to anchors of fully collected successors.
+  /// guarantee contains() gives). The anchor floor ScanFrom makes
+  /// restarts (frozen chunk found at acquire time) re-route without
+  /// duplicating keys already committed: a chunk's keys are all >= its
+  /// anchor, and ScanFrom only advances to anchors of fully collected
+  /// successors.
   //
   // Suppressed: the loop acquires and releases chunk locks through a
   // moving pointer, which the analysis cannot name lexically.
@@ -720,10 +810,10 @@ private:
                     typename Reclaim::Guard &G) const
       VBL_NO_THREAD_SAFETY_ANALYSIS {
     const size_t Entry = Out.size();
-    SetKey Cursor = Lo;
+    SetKey ScanFrom = Lo;
     uint64_t Chunks = 0;
     for (bool Done = false; !Done;) {
-      auto [Pred, C] = route(Cursor, G);
+      auto [Pred, C] = route(ScanFrom, G);
       (void)Pred;
       bool Restart = false;
       while (!Done && !Restart) {
@@ -759,7 +849,7 @@ private:
           const SetKey K = Policy::readCheck(
               C->Keys[static_cast<size_t>(I)], SlotReadOrder,
               &C->Keys[static_cast<size_t>(I)], MemField::Val);
-          if (K >= Cursor && K <= Hi)
+          if (K >= ScanFrom && K <= Hi)
             Out.push_back(K);
         }
         std::sort(Out.begin() + static_cast<ptrdiff_t>(Base), Out.end());
@@ -776,7 +866,7 @@ private:
           Done = true;
           break;
         }
-        Cursor = NextAnchor > Cursor ? NextAnchor : Cursor;
+        ScanFrom = NextAnchor > ScanFrom ? NextAnchor : ScanFrom;
         C = Next;
       }
     }

@@ -48,7 +48,6 @@
 #include "sync/SpinLocks.h"
 
 #include <atomic>
-#include <functional>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -311,60 +310,31 @@ public:
     }
   }
 
-  /// Applies \p N ops, given as pointers in ascending-key order (stable
-  /// for equal keys — SetAdapter sorts an index view), under ONE
-  /// reclaim guard, re-entering each walk from the previous op's final
-  /// predecessor instead of the head. B sorted ops over an n-node list
-  /// cost roughly one n-hop pass plus B validations instead of B full
-  /// traversals — the service layer's batching win. Safe under full
-  /// concurrency: the carried anchor is exactly the restart-from-prev
-  /// anchor the per-op protocol already tolerates (traverse falls back
-  /// to the head when the anchor is deleted), and the outer guard keeps
-  /// the anchor's memory reclaim-safe across ops (EBR guards nest and
-  /// pin the epoch). VBR re-enters every op at the head — an op-local
-  /// anchor may be recycled into an unpublished node — keeping only the
-  /// shared-guard amortization.
+  /// Applies \p N point ops, given as pointers in ascending-key order
+  /// (same-key ops in submission order; see applySortedPointOps), under
+  /// ONE reclaim guard, re-entering each walk from the previous op's
+  /// final predecessor instead of the head. B sorted ops over an n-node
+  /// list cost roughly one n-hop pass plus B validations instead of B
+  /// full traversals — the service layer's batching win. Safe under
+  /// full concurrency: the carried anchor is exactly the
+  /// restart-from-prev anchor the per-op protocol already tolerates
+  /// (traverse falls back to the head when the anchor is deleted), and
+  /// the outer guard keeps the anchor's memory reclaim-safe across ops
+  /// (EBR guards nest and pin the epoch). VBR re-enters every op at the
+  /// head — an op-local anchor may be recycled into an unpublished node
+  /// — keeping only the shared-guard amortization.
   void applyBatchSorted(BatchOp *const *Ops, size_t N) {
     typename Reclaim::Guard G(Domain);
     Node *Anchor = Head;
-    SetKey LastKey = MinSentinel;
-    for (size_t I = 0; I != N; ++I) {
-      BatchOp &O = *Ops[I];
-      VBL_ASSERT(isUserKey(O.Key), "sentinel keys are reserved");
-      // Same-key ops must arrive in submission order — the per-key FIFO
-      // contract. SetAdapter sorts by (Key, submission index), which
-      // puts equal keys in ascending array-slot order; pin that here so
-      // a caller (or future sort change) that hands equal keys out of
-      // order trips the assertion instead of silently reordering an
-      // insert(k);remove(k) pair.
-      VBL_ASSERT(I == 0 || Ops[I - 1]->Key < O.Key ||
-                     (Ops[I - 1]->Key == O.Key &&
-                      std::less<const BatchOp *>()(Ops[I - 1], Ops[I])),
-                 "same-key batch ops must stay in submission order");
-      if (Versioned || O.Key < LastKey)
-        Anchor = Head; // VBR head-only anchors; defensive unsorted reset.
-      LastKey = O.Key;
-      switch (O.Op) {
-      case SetOp::Insert:
-        O.Result = insertCore(O.Key, Anchor, G);
-        break;
-      case SetOp::Remove:
-        O.Result = removeCore(O.Key, Anchor, G);
-        break;
-      case SetOp::Contains:
-        O.Result = containsCore(O.Key, Anchor, G);
-        break;
-      case SetOp::RangeQuery: {
-        // Scans walk from the head on their own nested guard; the
-        // carried anchor (prev.val < LastKey <= every later key) is
-        // left untouched for the following point ops.
-        std::vector<SetKey> Discard;
-        std::vector<SetKey> &Sink = O.Keys ? *O.Keys : Discard;
-        O.Result = rangeQuery(O.Key, O.KeyHi, Sink) != 0;
-        break;
-      }
-      }
-    }
+    const auto From = [&]() -> Node *& {
+      if constexpr (Versioned)
+        Anchor = Head;
+      return Anchor;
+    };
+    applySortedPointOps(
+        Ops, N, [&](SetKey Key) { return insertCore(Key, From(), G); },
+        [&](SetKey Key) { return removeCore(Key, From(), G); },
+        [&](SetKey Key) { return containsCore(Key, From(), G); });
   }
 
   //===--------------------------------------------------------------===//

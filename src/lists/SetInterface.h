@@ -24,8 +24,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -106,7 +106,8 @@ protected:
 
 namespace detail {
 /// Detects `List.applyBatchSorted(BatchOp *const *, size_t)` — the
-/// anchor-reusing single-traversal batch entry point VblList exposes.
+/// cursor-reusing single-traversal batch entry point of VblList and
+/// VblChunkList.
 template <class T, class = void> struct HasSortedBatch : std::false_type {};
 template <class T>
 struct HasSortedBatch<
@@ -188,30 +189,23 @@ private:
       applyOneOf(Ops[0]);
       return;
     }
-    // Sort an index view, not the array: callers read results out
-    // of their own op records by position. Same-key ops MUST keep
-    // submission order — that is the whole per-key FIFO contract —
-    // so the comparator orders by (Key, submission index)
-    // explicitly rather than leaning on sort stability.
-    // Thread-local scratch: an adapter is shared across threads
-    // and concurrent batch flushes to the same shard are legal.
-    static thread_local std::vector<size_t> Scratch;
+    // Sort pointers, not the array: callers read results out of their
+    // own op records by position. Same-key ops MUST keep submission
+    // order — the per-key FIFO contract — and within one array address
+    // order is submission order, so (Key, address) is a total order
+    // that keeps it without a stable sort.
+    // Thread-local scratch: an adapter is shared across threads and
+    // concurrent batch flushes to the same shard are legal.
     static thread_local std::vector<BatchOp *> Sorted;
-    Scratch.resize(N);
-    std::iota(Scratch.begin(), Scratch.end(), size_t{0});
-    std::stable_sort(Scratch.begin(), Scratch.end(),
-                     [Ops](size_t A, size_t B) {
-                       if (Ops[A].Key != Ops[B].Key)
-                         return Ops[A].Key < Ops[B].Key;
-                       return A < B;
-                     });
     Sorted.resize(N);
-    for (size_t I = 0; I != N; ++I) {
-      Sorted[I] = &Ops[Scratch[I]];
-      VBL_ASSERT(I == 0 || Sorted[I - 1]->Key != Sorted[I]->Key ||
-                     Sorted[I - 1] < Sorted[I],
-                 "same-key batch ops must stay in submission order");
-    }
+    for (size_t I = 0; I != N; ++I)
+      Sorted[I] = &Ops[I];
+    std::sort(Sorted.begin(), Sorted.end(),
+              [](const BatchOp *A, const BatchOp *B) {
+                if (A->Key != B->Key)
+                  return A->Key < B->Key;
+                return std::less<const BatchOp *>()(A, B);
+              });
     List.applyBatchSorted(Sorted.data(), N);
   }
 

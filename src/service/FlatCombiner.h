@@ -31,8 +31,10 @@
 ///
 /// Slot protocol (all slot words policy-mediated, tagged MemField::Epoch
 /// — synchronization substrate, not LL state):
-///   waiter:   Done=false (release); Count (release); Ops (release)
-///   combiner: Ops (acquire) != null -> Apply(Ops, Count);
+///   waiter:   SlotBound >= idx+1 (raised once); Done=false (release);
+///             Count (release); Ops (release)
+///   combiner: SlotBound read once per round; for each slot below it,
+///             Ops (acquire) != null -> Apply(Ops, Count);
 ///             Ops=null (release); Done=true (release)
 ///   waiter:   Done (acquire) == true -> results valid
 /// The combiner nulls Ops before setting Done, and the slot's owner
@@ -53,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 
 namespace vbl {
 namespace service {
@@ -71,6 +74,7 @@ public:
   void execute(unsigned SlotIdx, BatchOp *Ops, uint32_t Count,
                ApplyFn &&Apply) {
     Slot &S = Slots[SlotIdx];
+    raiseSlotBound<PolicyT>(SlotIdx + 1);
     PolicyT::write(S.Done, false, std::memory_order_release, &S,
                    MemField::Epoch);
     PolicyT::write(S.Count, Count, std::memory_order_release, &S,
@@ -130,15 +134,45 @@ private:
     std::atomic<bool> Done{false};
   };
 
+  /// Raises the slot high-water mark to at least \p Bound before the
+  /// caller's publish. After a slot's first publish the mark already
+  /// covers it, so the steady state is one read of a line nobody
+  /// writes.
+  template <class PolicyT> void raiseSlotBound(unsigned Bound) {
+    unsigned Seen = PolicyT::read(SlotBound, std::memory_order_acquire,
+                                  &SlotBound, MemField::Epoch);
+    // A failed CAS reloads Seen; stop once any owner has raised it far
+    // enough.
+    while (Seen < Bound) {
+      if (PolicyT::casStrong(SlotBound, Seen, Bound,
+                             std::memory_order_release, &SlotBound,
+                             MemField::Epoch))
+        return;
+    }
+  }
+
   /// One lock epoch: scan the slots, apply every published batch, and
   /// rescan while work keeps arriving (bounded passes so the combiner's
   /// own session is not starved serving a steady publish stream).
+  ///
+  /// The scan stops at the slot high-water mark, read once per round:
+  /// slots past it have never been published. A combiner misses a slot
+  /// only if the slot was first published after this read, and then
+  /// the slot's owner — which raised the mark before publishing — keeps
+  /// spinning on lockTryAcquire (or parks on the lock under a traced
+  /// policy) until it combines its own slot, whose index its own bound
+  /// read covers. No payload is published through the mark (each Ops
+  /// acquire orders its batch); its accesses are acquire/release like
+  /// every other slot word, so the happens-before checker, which counts
+  /// relaxed accesses as plain, sees a synchronization word.
   template <class PolicyT, class ApplyFn>
   void combineLocked(ApplyFn &&Apply) VBL_REQUIRES(CombinerLock) {
+    const unsigned Bound = PolicyT::read(SlotBound, std::memory_order_acquire,
+                                         &SlotBound, MemField::Epoch);
     uint64_t RoundOps = 0;
     for (unsigned Pass = 0; Pass != MaxCombinePasses; ++Pass) {
       unsigned PassSlots = 0;
-      for (Slot &S : Slots) {
+      for (Slot &S : std::span(Slots, Bound)) {
         BatchOp *Ops = PolicyT::read(S.Ops, std::memory_order_acquire, &S,
                                      MemField::Epoch);
         if (!Ops)
@@ -164,6 +198,10 @@ private:
   static constexpr unsigned MaxCombinePasses = 3;
 
   LockT CombinerLock;
+  /// One past the highest slot index ever published; raised by each
+  /// slot's owner before its first publish, never lowered. Its own line:
+  /// read on every execute and every round, written once per slot.
+  alignas(CacheLineBytes) std::atomic<unsigned> SlotBound{0};
   alignas(CacheLineBytes) Slot Slots[MaxSlots];
 };
 

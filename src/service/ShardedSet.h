@@ -16,7 +16,7 @@
 ///  - batched: ops queue per (session, shard) and are applied B at a
 ///    time per shard visit — the shard adapter sorts the batch and
 ///    applies it in ONE amortized traversal under one reclaim guard
-///    (VblList::applyBatchSorted),
+///    (applyBatchSorted of VblList and VblChunkList),
 ///  - flat-combined: a session publishes its batch in a per-shard slot
 ///    and either finds it drained by another session's combine round or
 ///    takes the combiner lock and drains everyone (FlatCombiner.h).
@@ -25,7 +25,8 @@
 /// all ops on one key serialize through one linearizable backend
 /// instance; ops on distinct keys commute, so cross-shard (and
 /// in-batch cross-key) reordering is unobservable per key. Within a
-/// batch, same-key ops keep submission order (stable sort). A batched
+/// batch, same-key ops keep submission order (the adapter sorts by key,
+/// then by position in the batch). A batched
 /// op's linearization point lies between enqueue and flush-return,
 /// inside its widened interval — the history recorder in the tests
 /// stamps exactly that interval.

@@ -284,8 +284,7 @@ TEST(VblBatch, SameKeyOpsKeepSubmissionOrder) {
 
 // The sorted-batch entry point asserts its precondition instead of
 // silently reordering: same-key ops handed in descending array-slot
-// order would swap an insert(k);remove(k) pair. Regression for the
-// comparator leaning on pointer order of the caller's storage.
+// order would swap an insert(k);remove(k) pair.
 TEST(VblBatchDeathTest, SameKeyOpsOutOfSubmissionOrderAssert) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   VblList<> List;
@@ -305,4 +304,14 @@ TEST(VblBatchDeathTest, DescendingKeysAssert) {
   Ops[1] = {SetOp::Insert, 4};
   BatchOp *Unsorted[2] = {&Ops[0], &Ops[1]};
   EXPECT_DEATH(List.applyBatchSorted(Unsorted, 2), "submission order");
+}
+
+// SetAdapter runs every scan on its own, so a scan inside a sorted
+// batch is a caller bug.
+TEST(VblBatchDeathTest, RangeQueryAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  VblList<> List;
+  BatchOp Scan{SetOp::RangeQuery, 1, 9};
+  BatchOp *One[1] = {&Scan};
+  EXPECT_DEATH(List.applyBatchSorted(One, 1), "point ops only");
 }

@@ -20,7 +20,10 @@
 ///  - both protocol outcomes — a session draining its own slot and a
 ///    session finding its slot drained by the other's combine round
 ///    (the handoff) — are constructed by forced schedules and verified
-///    to occur.
+///    to occur;
+///  - the slot high-water mark's window: a combiner that read the bound
+///    before another session's first publish never looks at that slot,
+///    and the session combines its own slot after the lock frees.
 ///
 /// A 2-slot shard keeps the per-episode access count small enough for
 /// meaningful exploration prefixes.
@@ -37,6 +40,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 
@@ -233,6 +237,87 @@ TEST(CombinerSchedTest, BothHandoffOutcomesObserved) {
   }
   EXPECT_TRUE(SawHandoff)
       << "no forced prefix produced a combine-round handoff";
+}
+
+// The scan bound's window. Thread 0 runs alone for P steps; then thread
+// 1 runs while it is runnable (it raises the bound, publishes, and parks
+// on the combiner lock if thread 0 holds it); then the default grant
+// finishes. Sweeping P must hit the schedule where thread 0 acquired
+// the lock and read the bound before thread 1's first publish: thread
+// 0's round then never touches slot 1 although slot 1 is published
+// while thread 0 still holds the lock, and thread 1 combines its own
+// slot once the lock frees. Every forced episode stays race- and
+// deadlock-free with correct results.
+TEST(CombinerSchedTest, LateFirstPublishCombinesItsOwnSlot) {
+  const CombinerScenario S{
+      "late_first_publish", {}, {{{SetOp::Insert, 1}, {SetOp::Insert, 2}}}};
+  std::shared_ptr<CombinerWorld> World;
+  InterleavingExplorer Explorer(factoryFor(S, &World));
+  const std::vector<unsigned> Sequential = Explorer.run({}).Choices;
+  const size_t Thread0Steps = static_cast<size_t>(
+      std::find(Sequential.begin(), Sequential.end(), 1u) -
+      Sequential.begin());
+  bool SawWindow = false;
+  for (size_t P = 1; P < Thread0Steps; ++P) {
+    // Episodes are deterministic, so a run's runnable set at position
+    // i holds for every schedule sharing its first i choices.
+    std::vector<unsigned> Forced(P, 0);
+    for (;;) {
+      std::vector<std::vector<unsigned>> Runnable;
+      Explorer.run(Forced, &Runnable);
+      if (Forced.size() >= Runnable.size())
+        break;
+      const std::vector<unsigned> &Next = Runnable[Forced.size()];
+      if (std::find(Next.begin(), Next.end(), 1u) == Next.end())
+        break;
+      Forced.push_back(1);
+    }
+    const EpisodeResult Result = Explorer.run(Forced);
+    EXPECT_FALSE(Result.Deadlocked);
+    for (const analysis::RaceReport &Report : Result.Races)
+      ADD_FAILURE() << S.Name << ": " << Report.toString();
+    EXPECT_TRUE(World->Ops[0].Result);
+    EXPECT_TRUE(World->Ops[1].Result);
+
+    // Positions in the trace: thread 0's combiner-lock acquisition and
+    // release, thread 1's first slot write (Done=false) and publish
+    // (its third slot write, Ops), and whether thread 0 ever touched
+    // thread 1's slot.
+    const std::vector<Event> &Events = Result.Raw.events();
+    const void *Combiner = &World->Combiner;
+    size_t Acquired = Events.size(), Released = Events.size();
+    size_t FirstWrite = Events.size(), Published = Events.size();
+    const void *Slot1 = nullptr;
+    unsigned Slot1Writes = 0;
+    for (size_t I = 0; I != Events.size(); ++I) {
+      const Event &E = Events[I];
+      if (E.Thread == 0 && E.Node == Combiner) {
+        if (E.Kind == EventKind::LockAcquire && Acquired == Events.size())
+          Acquired = I;
+        if (E.Kind == EventKind::LockRelease && Released == Events.size())
+          Released = I;
+      }
+      if (E.Thread == 1 && E.Kind == EventKind::Write &&
+          E.Field == MemField::Epoch && Slot1Writes < 3) {
+        if (Slot1Writes == 0) {
+          FirstWrite = I;
+          Slot1 = E.Node;
+        }
+        if (++Slot1Writes == 3)
+          Published = I;
+      }
+    }
+    const bool Thread0TouchedSlot1 =
+        std::any_of(Events.begin(), Events.end(), [&](const Event &E) {
+          return E.Thread == 0 && E.Node == Slot1;
+        });
+    SawWindow = SawWindow ||
+                (Acquired < FirstWrite && Published < Released &&
+                 !Thread0TouchedSlot1 && World->DrainedBy[1] == 1);
+  }
+  EXPECT_TRUE(SawWindow)
+      << "no forced schedule kept a held combine round off a slot first "
+         "published after its bound read";
 }
 
 } // namespace

@@ -13,7 +13,7 @@
 ///  - sequential differential: session-routed ops vs std::set, with
 ///    results checked in completion order (batch flushes included);
 ///  - same-key FIFO inside a batch: the sorted apply path must keep
-///    submission order for equal keys (stable sort);
+///    submission order for equal keys;
 ///  - concurrent per-key linearizability: recorded histories where a
 ///    batched op's interval is widened to [enqueue, flush-return] —
 ///    its linearization point provably lies inside — checked by the
