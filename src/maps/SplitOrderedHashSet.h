@@ -502,7 +502,10 @@ private:
   SubstrateT List;
   Reclaim &Domain; // == List.reclaimDomain(); guards must be shared.
   std::atomic<BucketIndex *> Index{nullptr};
-  std::atomic<int64_t> Count{0};
+  /// Written by every successful insert and remove, so it gets its own
+  /// line: sharing one with Index and Domain, which every operation
+  /// reads, would invalidate that line for every other worker.
+  alignas(CacheLineBytes) std::atomic<int64_t> Count{0};
   /// Largest capacity ever published; dummy-addressability invariant
   /// bound (shrink orphans dummies above the current capacity).
   std::atomic<size_t> MaxCapacityEver{0};

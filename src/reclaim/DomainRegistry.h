@@ -14,7 +14,8 @@
 ///     still alive.
 ///  2. A domain dies, then a new domain is allocated at the same address:
 ///     stale thread-local entries must not match it. Every domain gets a
-///     never-reused 64-bit id.
+///     never-reused 64-bit id, and a thread drops its entries for dead
+///     domains on its next attach.
 ///
 /// The global mutex is taken only on attach, detach, domain construction
 /// and destruction — never on the guard fast path.
@@ -104,23 +105,21 @@ inline void *findThreadRecord(uint64_t DomainId) {
 }
 
 /// Remembers that this thread holds \p Record of \p Domain so the record
-/// is returned when the thread exits.
+/// is returned when the thread exits. Also drops this thread's entries
+/// for domains that have died since: findThreadRecord scans the list,
+/// and a thread that outlives many short-lived domains would otherwise
+/// pay for every one it ever attached to.
 inline void rememberThreadRecord(uint64_t DomainId, void *Domain,
                                  void *Record, DetachFn Detach) {
-  detail::tlsRegistry().Entries.push_back({DomainId, Domain, Record, Detach});
-}
-
-/// Forgets any record this thread holds for \p DomainId (used by domains
-/// that reclaim records eagerly in their destructor).
-inline void forgetThreadRecord(uint64_t DomainId) {
   auto &Entries = detail::tlsRegistry().Entries;
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    if (Entries[I].DomainId != DomainId)
-      continue;
-    Entries[I] = Entries.back();
-    Entries.pop_back();
-    return;
+  {
+    detail::RegistryState &State = detail::registryState();
+    std::lock_guard<std::mutex> Lock(State.Mutex);
+    std::erase_if(Entries, [&](const detail::TlsEntry &Entry) {
+      return State.LiveDomains.count(Entry.DomainId) == 0;
+    });
   }
+  Entries.push_back({DomainId, Domain, Record, Detach});
 }
 
 } // namespace reclaim

@@ -13,7 +13,8 @@
 #include <cstdlib>
 #include <mutex>
 #include <unordered_set>
-#include <vector>
+
+#include <sys/mman.h>
 
 using namespace vbl;
 using namespace vbl::reclaim;
@@ -37,10 +38,10 @@ constexpr size_t classSize(unsigned Class) {
 /// Keeping each slab's free blocks on the slab's own list — instead of
 /// one process-global list per class — is a locality decision, not a
 /// bookkeeping one: a global LIFO shuffles blocks from every slab ever
-/// carved, so after enough churn a refill hands a thread 32 blocks on
-/// 32 different pages and a 512-node list ends up TLB-missing on every
-/// hop. Slab-local lists make every refill batch land within one 16 KiB
-/// region, so lists stay compact no matter how long the process churns.
+/// carved, so after enough churn a refill hands a thread 32 blocks from
+/// 32 slabs all over the address space. Slab-local lists keep a refill
+/// batch within the few slabs it drains; slabs carved in sequence share
+/// an arena, and under transparent huge pages an arena is one TLB entry.
 struct SlabHeader {
   FreeBlock *Free = nullptr;
   SlabHeader *NextPartial = nullptr;
@@ -55,6 +56,11 @@ static_assert(sizeof(SlabHeader) <= NodePool::MinBlockBytes,
 SlabHeader *slabOf(void *Block) {
   return reinterpret_cast<SlabHeader *>(reinterpret_cast<uintptr_t>(Block) &
                                         ~(NodePool::SlabBytes - 1));
+}
+
+void *arenaOf(void *Block) {
+  return reinterpret_cast<void *>(reinterpret_cast<uintptr_t>(Block) &
+                                  ~(NodePool::ArenaBytes - 1));
 }
 
 /// Heap round-trips with the alignment-correct operator new/delete pair
@@ -75,7 +81,7 @@ void alignedDelete(void *Ptr, size_t Align) {
 
 /// Shared pool state. Allocated once and never destroyed: thread-cache
 /// destructors run during TLS teardown, which the C++ runtime may order
-/// after any static destructor, and the leaked spine keeps every slab
+/// after any static destructor, and the leaked spine keeps every arena
 /// (and therefore every block) reachable for LeakSanitizer.
 struct GlobalState {
   std::mutex Mutex;
@@ -86,11 +92,14 @@ struct GlobalState {
   /// Exhaustion-minted single blocks (no surrounding slab). Only ever
   /// populated when the test hook caps slab growth.
   FreeBlock *FallbackFree[NodePool::NumClasses] = {};
-  /// Slab base pointers; membership distinguishes slab blocks from
-  /// fallback blocks on the donation path (a fallback block's masked
-  /// base is not a slab and must not be dereferenced).
-  std::unordered_set<void *> SlabSet;
-  std::vector<void *> Slabs;
+  /// Arena base pointers; membership distinguishes slab blocks from
+  /// fallback blocks on the donation path (a fallback block lies in no
+  /// arena, and its masked base must not be dereferenced as a slab).
+  std::unordered_set<void *> Arenas;
+  /// The uncarved tail of the newest arena; slabs are cut from it in
+  /// address order.
+  char *ArenaCursor = nullptr;
+  char *ArenaEnd = nullptr;
   size_t SlabBytesLive = 0;
   size_t SlabByteLimit = 0; // 0 = unlimited; test hook.
   /// Counters maintained under Mutex, plus the flushed fast-path
@@ -129,17 +138,30 @@ void pushPartial(GlobalState &G, SlabHeader *Slab) {
 /// Returns a donated block to its home slab (or the fallback list).
 /// Caller holds G.Mutex.
 void globalFree(GlobalState &G, FreeBlock *Block, unsigned Class) {
-  SlabHeader *Slab = slabOf(Block);
-  if (VBL_UNLIKELY(G.SlabSet.count(Slab) == 0)) {
+  if (VBL_UNLIKELY(G.Arenas.count(arenaOf(Block)) == 0)) {
     // Exhaustion-minted block: no slab around it.
     Block->Next = G.FallbackFree[Class];
     G.FallbackFree[Class] = Block;
     return;
   }
+  SlabHeader *Slab = slabOf(Block);
   Block->Next = Slab->Free;
   Slab->Free = Block;
   ++Slab->FreeCount;
   pushPartial(G, Slab);
+}
+
+/// Starts a fresh arena: ArenaBytes, self-aligned so that one huge page
+/// can back it, advised once for transparent huge pages. Where the
+/// kernel ignores or refuses the advice the arena stays on base pages,
+/// which only costs the locality the advice buys. Arenas are never
+/// returned; Arenas keeps them reachable. Caller holds G.Mutex.
+void newArena(GlobalState &G) {
+  void *Arena = alignedNew(NodePool::ArenaBytes, NodePool::ArenaBytes);
+  (void)::madvise(Arena, NodePool::ArenaBytes, MADV_HUGEPAGE);
+  G.Arenas.insert(Arena);
+  G.ArenaCursor = static_cast<char *>(Arena);
+  G.ArenaEnd = G.ArenaCursor + NodePool::ArenaBytes;
 }
 
 /// Carves a fresh slab for \p Class and pushes it on the partial stack.
@@ -149,10 +171,12 @@ bool carveSlab(GlobalState &G, unsigned Class) {
   if (G.SlabByteLimit != 0 &&
       G.SlabBytesLive + NodePool::SlabBytes > G.SlabByteLimit)
     return false;
-  // Self-aligned so blocks can mask their way back to the header.
-  void *Base = alignedNew(NodePool::SlabBytes, NodePool::SlabBytes);
-  G.Slabs.push_back(Base);
-  G.SlabSet.insert(Base);
+  if (G.ArenaCursor == G.ArenaEnd)
+    newArena(G);
+  // Self-aligned (the arena is, and slabs tile it) so blocks can mask
+  // their way back to the header.
+  void *Base = G.ArenaCursor;
+  G.ArenaCursor += NodePool::SlabBytes;
   G.SlabBytesLive += NodePool::SlabBytes;
   ++G.SlabsCarved;
   auto *Slab = ::new (Base) SlabHeader();
@@ -219,61 +243,56 @@ void *NodePool::allocateImpl(unsigned Class, bool &FromGlobal) {
 
   GlobalState &G = global();
   std::lock_guard<std::mutex> Lock(G.Mutex);
-  if (G.Partial[Class] == nullptr && G.FallbackFree[Class] == nullptr) {
-    if (!carveSlab(G, Class)) {
-      // Exhaustion fallback: mint one heap block of exactly the class
-      // size. It recycles through the free lists forever; the donation
-      // path recognizes it by its masked base not being a slab.
-      ++G.FallbackBlocks;
-      ++C.PoolAllocs;
-      return alignedNew(classSize(Class), CacheLineBytes);
-    }
-  } else {
-    // Pre-owned blocks: their previous lives must be ordered before our
-    // reuse; the caller pairs this with an acquire of the transfer
-    // beacon.
-    FromGlobal = true;
-  }
-  ++G.GlobalRefills;
-  stats::bump(stats::Counter::PoolMisses);
-  // Refill from ONE slab: the whole batch lands within a single 16 KiB
-  // region, so the nodes built from it stay page-local no matter how
-  // shuffled the rest of the pool is.
-  FreeBlock *First = nullptr;
+  // Pre-owned blocks: their previous lives must be ordered before our
+  // reuse; the caller pairs this with an acquire of the transfer beacon.
+  FromGlobal =
+      G.Partial[Class] != nullptr || G.FallbackFree[Class] != nullptr;
+  // Refill a whole batch, draining partial slabs top down and carving
+  // fresh ones once they run out. The batch may span several slabs;
+  // the arena they were carved from keeps it within one huge page.
   size_t Moved = 0;
-  if (SlabHeader *Slab = G.Partial[Class]) {
-    First = Slab->Free;
-    Slab->Free = First->Next;
-    --Slab->FreeCount;
-    while (Moved < TransferBatch - 1 && Slab->Free) {
+  auto Take = [&](FreeBlock *Block) {
+    Block->Next = C.Lists[Class];
+    C.Lists[Class] = Block;
+    ++C.Counts[Class];
+    ++Moved;
+  };
+  while (Moved != TransferBatch) {
+    if (G.Partial[Class] == nullptr && !carveSlab(G, Class))
+      break;
+    SlabHeader *Slab = G.Partial[Class];
+    while (Moved != TransferBatch && Slab->Free) {
       FreeBlock *Block = Slab->Free;
       Slab->Free = Block->Next;
       --Slab->FreeCount;
-      Block->Next = C.Lists[Class];
-      C.Lists[Class] = Block;
-      ++C.Counts[Class];
-      ++Moved;
+      Take(Block);
     }
     if (Slab->FreeCount == 0) {
       G.Partial[Class] = Slab->NextPartial;
       Slab->NextPartial = nullptr;
       Slab->InPartialList = false;
     }
-  } else {
-    // Only reachable under the test-hook slab cap: recycle
-    // exhaustion-minted blocks.
-    First = G.FallbackFree[Class];
-    G.FallbackFree[Class] = First->Next;
-    while (Moved < TransferBatch - 1 && G.FallbackFree[Class]) {
-      FreeBlock *Block = G.FallbackFree[Class];
-      G.FallbackFree[Class] = Block->Next;
-      Block->Next = C.Lists[Class];
-      C.Lists[Class] = Block;
-      ++C.Counts[Class];
-      ++Moved;
-    }
+  }
+  // Only reachable under the test-hook slab cap: recycle
+  // exhaustion-minted blocks.
+  while (Moved != TransferBatch && G.FallbackFree[Class]) {
+    FreeBlock *Block = G.FallbackFree[Class];
+    G.FallbackFree[Class] = Block->Next;
+    Take(Block);
   }
   ++C.PoolAllocs;
+  if (VBL_UNLIKELY(Moved == 0)) {
+    // Exhaustion fallback: mint one heap block of exactly the class
+    // size. It recycles through the free lists forever; the donation
+    // path recognizes it by its lying in no arena.
+    ++G.FallbackBlocks;
+    return alignedNew(classSize(Class), CacheLineBytes);
+  }
+  ++G.GlobalRefills;
+  stats::bump(stats::Counter::PoolMisses);
+  FreeBlock *First = C.Lists[Class];
+  C.Lists[Class] = First->Next;
+  --C.Counts[Class];
   return First;
 }
 

@@ -27,14 +27,23 @@
 ///    cached block when a thread exits (slab donation — nothing is
 ///    stranded in dead threads' caches). Blocks are carved from 16 KiB
 ///    *self-aligned* slabs, and the global free state is kept per slab
-///    (a donated block masks its way back to its home slab's header):
-///    every refill batch therefore comes from a single slab, keeping
-///    long-lived lists page-compact no matter how shuffled the pool
-///    gets over a process lifetime.
+///    (a donated block masks its way back to its home slab's header).
+///    A refill drains partial slabs top down, carving fresh ones once
+///    they run out, until it holds a full TransferBatch.
+///  - Slabs are cut in address order out of 2 MiB arenas, each
+///    self-aligned and advised once with MADV_HUGEPAGE, so under
+///    transparent huge pages a whole arena costs one TLB entry. The
+///    arena, not the slab, is the unit of locality: however a refill
+///    batch spreads over slabs, the nodes built from it share a few
+///    arenas, so a traversal over hundreds of thousands of nodes does
+///    not pay a page walk per hop. Where the kernel ignores or refuses
+///    the advice (THP `never`, no free huge page), the arena sits on
+///    4 KiB pages and the pool works unchanged, only without that
+///    locality.
 ///  - The global pool is created with `new` and never destroyed:
 ///    thread-cache destructors (TLS teardown) may run after any static
-///    destructor, and keeping the slab spine alive also keeps every
-///    block reachable for LeakSanitizer.
+///    destructor, and keeping the arena set alive also keeps every
+///    block reachable for LeakSanitizer. Arenas are never returned.
 ///
 /// Lifetime safety is entirely the reclamation domains' job: the pool
 /// only ever sees a block after the domain's grace period proved no
@@ -79,9 +88,11 @@ public:
   /// Largest pooled block; bigger requests are heap round-trips.
   static constexpr size_t MaxBlockBytes = 1024;
   static constexpr size_t NumClasses = 6; // 32, 64, 128, 256, 512, 1024.
-  /// Slab granularity requested from the heap. 16 KiB keeps slab count
-  /// low without committing megabytes for tiny tests.
+  /// Slab granularity: the unit of per-slab free state and of the
+  /// header-masking that finds it.
   static constexpr size_t SlabBytes = 16 * 1024;
+  /// Arena granularity requested from the heap: one x86-64 huge page.
+  static constexpr size_t ArenaBytes = 2 * 1024 * 1024;
   /// Per-thread, per-class cache bound. Past this, frees overflow to
   /// the global pool so one churning thread cannot hoard every block.
   static constexpr size_t CacheCapPerClass = 128;
@@ -171,7 +182,7 @@ public:
   struct Stats {
     uint64_t PoolAllocs = 0;    ///< Fast-path pops from a local free list.
     uint64_t PoolFrees = 0;     ///< Fast-path pushes to a local free list.
-    uint64_t SlabsCarved = 0;   ///< 16 KiB slabs requested from the heap.
+    uint64_t SlabsCarved = 0;   ///< 16 KiB slabs carved from arenas.
     uint64_t BlocksDonated = 0; ///< Blocks handed to the global pool.
     uint64_t GlobalRefills = 0; ///< Batch transfers global -> local.
     uint64_t HeapAllocs = 0;    ///< Bypass or oversize operator new calls.

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace vbl;
@@ -24,6 +27,20 @@ struct Tracked {
   ~Tracked() { Counter.fetch_add(1, std::memory_order_relaxed); }
   std::atomic<int> &Counter;
 };
+
+std::vector<const void *> sorted(std::vector<const void *> Domains) {
+  std::sort(Domains.begin(), Domains.end());
+  return Domains;
+}
+
+/// The domains this thread holds registry entries for
+/// (reclaim/DomainRegistry.h), sorted.
+std::vector<const void *> registeredDomains() {
+  std::vector<const void *> Domains;
+  for (const detail::TlsEntry &Entry : detail::tlsRegistry().Entries)
+    Domains.push_back(Entry.Domain);
+  return sorted(std::move(Domains));
+}
 
 } // namespace
 
@@ -164,6 +181,55 @@ TEST(EpochDomain, DomainOutlivedByThreadIsSafe) {
   DomainDead.store(true, std::memory_order_release);
   Worker.join();
   EXPECT_EQ(Destroyed.load(), 1);
+}
+
+TEST(EpochDomain, DeadDomainsLeaveTheThreadRegistry) {
+  // A thread that outlives many short-lived domains keeps no entry for
+  // the dead ones: findThreadRecord scans the list on every attach that
+  // misses the one-entry cache.
+  size_t Entries = 0;
+  std::thread([&] {
+    for (int I = 0; I != 1000; ++I) {
+      EpochDomain Domain;
+      EpochDomain::Guard G(Domain);
+    }
+    Entries = registeredDomains().size();
+  }).join();
+  EXPECT_LE(Entries, 2u);
+}
+
+TEST(EpochDomain, DomainDestroyedElsewhereLeavesOnNextAttach) {
+  auto Dying = std::make_unique<EpochDomain>();
+  EpochDomain Living;
+  const void *DyingAddr = Dying.get();
+  std::atomic<int> Phase{0};
+  std::vector<const void *> Before, After, Revisited;
+  const void *FreshAddr = nullptr;
+  std::thread Worker([&] {
+    { EpochDomain::Guard G(*Dying); }
+    { EpochDomain::Guard G(Living); }
+    Before = registeredDomains();
+    Phase.store(1, std::memory_order_release);
+    while (Phase.load(std::memory_order_acquire) != 2)
+      std::this_thread::yield();
+    // The first attach after the other thread destroyed Dying drops its
+    // entry.
+    EpochDomain Fresh;
+    FreshAddr = &Fresh;
+    { EpochDomain::Guard G(Fresh); }
+    After = registeredDomains();
+    // Living's record is still found: attaching again adds no entry.
+    { EpochDomain::Guard G(Living); }
+    Revisited = registeredDomains();
+  });
+  while (Phase.load(std::memory_order_acquire) != 1)
+    std::this_thread::yield();
+  Dying.reset();
+  Phase.store(2, std::memory_order_release);
+  Worker.join();
+  EXPECT_EQ(Before, sorted({DyingAddr, &Living}));
+  EXPECT_EQ(After, sorted({&Living, FreshAddr}));
+  EXPECT_EQ(Revisited, After);
 }
 
 TEST(EpochDomain, SlotsAreRecycledAcrossThreadGenerations) {

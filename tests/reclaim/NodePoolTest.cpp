@@ -7,7 +7,8 @@
 //
 // Lifecycle coverage for the per-thread slab pool: local recycling,
 // thread-exit donation, cross-thread block migration, slab exhaustion
-// (heap fallback), the oversize escape hatch, and the bypass switch.
+// (heap fallback), the oversize escape hatch, the bypass switch, and
+// the huge-page arenas slabs are carved from.
 // Every behavioural assertion about the pooled fast path is skipped
 // when the whole binary runs bypassed (VBL_POOL_BYPASS=1 under ASan):
 // in that mode there is no pool to observe, by design.
@@ -22,6 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +39,21 @@ namespace {
 struct PoolBox {
   uint64_t Payload[4] = {1, 2, 3, 4};
 };
+
+uintptr_t slabBase(void *Block) {
+  return reinterpret_cast<uintptr_t>(Block) & ~(NodePool::SlabBytes - 1);
+}
+
+/// Parses a /proc/self/smaps mapping header ("lo-hi perms offset ...").
+/// Field lines ("AnonHugePages: ...") start with a name, not a range.
+bool parseMapping(const std::string &Line, uintptr_t &Lo, uintptr_t &Hi) {
+  char *End = nullptr;
+  Lo = std::strtoull(Line.c_str(), &End, 16);
+  if (End == Line.c_str() || *End != '-')
+    return false;
+  Hi = std::strtoull(End + 1, &End, 16);
+  return *End == ' ';
+}
 
 TEST(NodePoolTest, LocalFreeListRecyclesLifo) {
   if (NodePool::bypassed())
@@ -105,6 +127,115 @@ TEST(NodePoolTest, SlabExhaustionFallsBackToHeapBlocks) {
   for (void *Ptr : Held)
     NodePool::deallocate(Ptr, 1024, 8);
   NodePool::setSlabByteLimitForTest(0);
+}
+
+TEST(NodePoolTest, SlabsAreCarvedBackToBackInOneArena) {
+  if (NodePool::bypassed())
+    GTEST_SKIP() << "pool bypassed; no slabs";
+  // A refill that carves hands back a block of the slab it carved last,
+  // so each allocation that moves SlabsCarved names a fresh slab. A
+  // 64-byte slab serves ~8 refills, so each such allocation carves one.
+  std::vector<void *> Held;
+  std::vector<uintptr_t> Fresh;
+  std::thread([&] {
+    while (Fresh.size() != 3 && Held.size() < (1u << 20)) {
+      const uint64_t Before = NodePool::stats().SlabsCarved;
+      Held.push_back(NodePool::allocate(64, 8));
+      if (NodePool::stats().SlabsCarved == Before + 1)
+        Fresh.push_back(slabBase(Held.back()));
+    }
+  }).join();
+  ASSERT_EQ(Fresh.size(), 3u);
+  // Consecutive slabs sit one slab apart inside one ArenaBytes-aligned
+  // arena, unless the earlier one closed its arena and the later one
+  // opens the next. Three carves cross at most one arena boundary.
+  unsigned SameArena = 0;
+  for (size_t I = 1; I != Fresh.size(); ++I) {
+    const uintptr_t Prev = Fresh[I - 1], Cur = Fresh[I];
+    if (Cur % NodePool::ArenaBytes == 0) {
+      EXPECT_EQ((Prev + NodePool::SlabBytes) % NodePool::ArenaBytes, 0u);
+      continue;
+    }
+    EXPECT_EQ(Cur, Prev + NodePool::SlabBytes);
+    EXPECT_EQ(Cur / NodePool::ArenaBytes, Prev / NodePool::ArenaBytes);
+    ++SameArena;
+  }
+  EXPECT_GE(SameArena, 1u);
+  for (void *Ptr : Held)
+    NodePool::deallocate(Ptr, 64, 8);
+}
+
+TEST(NodePoolTest, ArenasAreHugePageEligible) {
+  if (NodePool::bypassed())
+    GTEST_SKIP() << "pool bypassed; no arenas";
+  std::string ThpMode;
+  std::ifstream Mode("/sys/kernel/mm/transparent_hugepage/enabled");
+  if (!std::getline(Mode, ThpMode) ||
+      ThpMode.find("[never]") != std::string::npos)
+    GTEST_SKIP() << "transparent huge pages off or not reported";
+  // The mapping that holds a pooled block must be one the kernel may
+  // back with huge pages: the arena's advice marked it so.
+  void *Block = NodePool::allocate(64, 8);
+  const uintptr_t Addr = reinterpret_cast<uintptr_t>(Block);
+  std::ifstream Smaps("/proc/self/smaps");
+  bool InMapping = false;
+  std::string Line, Eligible;
+  while (Eligible.empty() && std::getline(Smaps, Line)) {
+    uintptr_t Lo = 0, Hi = 0;
+    if (parseMapping(Line, Lo, Hi))
+      InMapping = Lo <= Addr && Addr < Hi;
+    else if (InMapping && Line.rfind("THPeligible:", 0) == 0)
+      std::istringstream(Line.substr(12)) >> Eligible;
+  }
+  NodePool::deallocate(Block, 64, 8);
+  EXPECT_EQ(Eligible, "1") << "THP mode: " << ThpMode;
+}
+
+TEST(NodePoolTest, RefillDrainsSeveralPartialSlabs) {
+  if (NodePool::bypassed())
+    GTEST_SKIP() << "pool bypassed; no refills";
+  // 512-byte blocks: no other test here uses the class, and none of its
+  // blocks are exhaustion-minted heap blocks.
+  constexpr size_t Bytes = 512;
+  constexpr size_t PerSlab = NodePool::SlabBytes / Bytes - 1;
+  constexpr size_t Singles = 4;
+  // One thread takes eight slabs' worth and gives back one block from
+  // each of Singles slabs it holds completely; its exit donates them, so
+  // each of those slabs is a partial slab with exactly one free block.
+  std::vector<void *> Held;
+  std::vector<void *> Given;
+  std::thread([&] {
+    for (size_t I = 0; I != 8 * PerSlab; ++I)
+      Held.push_back(NodePool::allocate(Bytes, 8));
+    std::map<uintptr_t, std::vector<void *>> BySlab;
+    for (void *Ptr : Held)
+      BySlab[slabBase(Ptr)].push_back(Ptr);
+    for (auto &[Base, Blocks] : BySlab) {
+      if (Blocks.size() != PerSlab || Given.size() == Singles)
+        continue;
+      Given.push_back(Blocks.back());
+      NodePool::deallocate(Blocks.back(), Bytes, 8);
+    }
+  }).join();
+  ASSERT_EQ(Given.size(), Singles);
+  for (void *Ptr : Given)
+    Held.erase(std::find(Held.begin(), Held.end(), Ptr));
+  // A fresh thread's refills must still hand back a full batch each,
+  // draining the single-block slabs on the way.
+  constexpr size_t Batches = 4;
+  const uint64_t RefillsBefore = NodePool::stats().GlobalRefills;
+  std::vector<void *> Taken;
+  std::thread([&] {
+    for (size_t I = 0; I != Batches * NodePool::TransferBatch; ++I)
+      Taken.push_back(NodePool::allocate(Bytes, 8));
+  }).join();
+  EXPECT_EQ(NodePool::stats().GlobalRefills - RefillsBefore, Batches);
+  for (void *Ptr : Given)
+    EXPECT_NE(std::find(Taken.begin(), Taken.end(), Ptr), Taken.end());
+  for (void *Ptr : Held)
+    NodePool::deallocate(Ptr, Bytes, 8);
+  for (void *Ptr : Taken)
+    NodePool::deallocate(Ptr, Bytes, 8);
 }
 
 TEST(NodePoolTest, OversizeRequestsRoundTripThroughHeap) {

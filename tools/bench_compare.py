@@ -25,6 +25,10 @@ exists for — an accidental O(n) walk, a lost fast path — slow a
 structure across its whole sweep and move the geomean right through
 the floor. Per-point ratios are printed for diagnosis.
 
+Host facts that shift whole runs are printed, not gated: one `note:`
+line for each context key in HOST_KEYS (core count, transparent-huge-
+page mode) on which the two documents disagree.
+
 Exit codes: 0 = pass, 1 = regression detected, 2 = usage/format error.
 
 Usage:
@@ -45,8 +49,13 @@ FIELDS = {
     "p999_ns": ("p999_latency_ns", True),
 }
 
+# Run-context keys whose difference the report names (see above).
+HOST_KEYS = ("nproc", "thp")
 
-def load_records(path):
+
+def load_doc(path):
+    """(context, records by identity) of a vbl-bench-v1 document, or
+    None after printing why it is unusable."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -71,7 +80,8 @@ def load_records(path):
                   f"identity field {err}", file=sys.stderr)
             return None
         records[key] = record
-    return records
+    context = doc.get("context")
+    return (context if isinstance(context, dict) else {}), records
 
 
 def main():
@@ -90,10 +100,17 @@ def main():
     args = parser.parse_args()
     field_key, smaller_is_better = FIELDS[args.field]
 
-    baseline = load_records(args.baseline)
-    candidate = load_records(args.candidate)
-    if baseline is None or candidate is None:
+    base_doc = load_doc(args.baseline)
+    cand_doc = load_doc(args.candidate)
+    if base_doc is None or cand_doc is None:
         return 2
+    (base_context, baseline), (cand_context, candidate) = base_doc, cand_doc
+    for host_key in HOST_KEYS:
+        base_host = base_context.get(host_key, "unrecorded")
+        cand_host = cand_context.get(host_key, "unrecorded")
+        if base_host != cand_host:
+            print(f"note: context {host_key} differs: baseline "
+                  f"{base_host}, candidate {cand_host}")
     if not baseline:
         print(f"error: {args.baseline} has no records", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ invocations (fig1_small_contended, hashset_scaling, micro_reclaim,
 reclamation_cost, readonly_traversal, skiplist_crossover,
 unrolled_crossover, latency_profile, service_throughput, micro_locks
 and schedule_acceptance), stamped with
-run context (git sha, host, core count, date). This is the suite the
+run context (git sha, host, core count, transparent-huge-page mode,
+date). This is the suite the
 CI bench-smoke job runs on every PR; tools/bench_compare.py gates the
 result against the committed BENCH_baseline.json.
 
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -109,6 +111,23 @@ def bench_invocations(args):
     ]
 
 
+THP_ENABLED = "/sys/kernel/mm/transparent_hugepage/enabled"
+
+
+def thp_mode(path=THP_ENABLED):
+    """The kernel's transparent-huge-page mode, the bracketed word of its
+    `enabled` file ("always [madvise] never" -> "madvise"), or "unknown"
+    where that file cannot be read. The node pool's arenas sit on huge
+    pages only under "always" or "madvise", so the mode changes what
+    the pool-heavy benches measure."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            match = re.search(r"\[(\w+)\]", handle.read())
+    except OSError:
+        return "unknown"
+    return match.group(1) if match else "unknown"
+
+
 def git_sha(repo_root):
     try:
         out = subprocess.run(
@@ -180,6 +199,7 @@ def main():
         "sha": git_sha(repo_root),
         "host": platform.node() or "unknown",
         "nproc": str(os.cpu_count() or 0),
+        "thp": thp_mode(),
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "duration_ms": str(args.duration_ms),
         "repeats": str(args.repeats),

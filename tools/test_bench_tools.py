@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Unit tests for the bench tooling (bench_compare, split_bench_domains,
-run_benches) on crafted malformed inputs.
+run_benches) on crafted inputs.
 
 Each tool is exercised as a subprocess, the way CI invokes it, so the
 tests pin exit codes and diagnostics, not internals:
@@ -8,13 +8,18 @@ tests pin exit codes and diagnostics, not internals:
  - bench_compare --field p99_ns on records with zero or null latency
    percentiles must skip-with-note, not raise ZeroDivisionError or
    TypeError mid-compare;
+ - bench_compare names each host context key (nproc, thp) on which
+   baseline and candidate differ, without changing its verdict;
  - split_bench_domains and run_benches must fail with a named
    file/record diagnostic (exit 1) on malformed JSON instead of a
-   stacktrace.
+   stacktrace;
+ - run_benches records the transparent-huge-page mode in the merged
+   context (the one helper tested in-process is its parser).
 
 Invoked from ctest as bench_tools_selftest.
 """
 
+import importlib.util
 import json
 import os
 import stat
@@ -32,8 +37,31 @@ def run_tool(name, *argv):
         capture_output=True, text=True)
 
 
-def bench_doc(records):
-    return {"schema": "vbl-bench-v1", "context": {}, "records": records}
+def bench_doc(records, context=None):
+    return {"schema": "vbl-bench-v1", "context": context or {},
+            "records": records}
+
+
+def load_run_benches():
+    spec = importlib.util.spec_from_file_location(
+        "run_benches", os.path.join(TOOLS_DIR, "run_benches.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_fake_bench(path, payload):
+    """An executable that writes payload to the file after --json."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("#!/bin/sh\n"
+                     "out=\"\"\n"
+                     "while [ $# -gt 0 ]; do\n"
+                     "  if [ \"$1\" = \"--json\" ]; then out=\"$2\"; "
+                     "shift; fi\n"
+                     "  shift\n"
+                     "done\n"
+                     f"printf '%s' '{payload}' > \"$out\"\n")
+    os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
 
 
 def record(structure, threads, throughput, p99):
@@ -106,6 +134,44 @@ class BenchCompareLatencyTest(TempDocs):
         self.assertIn("no comparable points", result.stderr)
 
 
+class BenchCompareContextTest(TempDocs):
+    def compare(self, base_context, cand_context):
+        points = [record("vbl", 1, 1e6, 800.0),
+                  record("lazy", 1, 1e6, 750.0)]
+        base = self.write("base.json", bench_doc(points, base_context))
+        cand = self.write("cand.json", bench_doc(points, cand_context))
+        return run_tool("bench_compare.py", "--baseline", base,
+                        "--candidate", cand)
+
+    def notes(self, result):
+        return [line for line in result.stdout.splitlines()
+                if line.startswith("note: context")]
+
+    def test_each_differing_host_key_gets_one_note(self):
+        result = self.compare({"nproc": "4", "thp": "madvise", "sha": "a"},
+                              {"nproc": "2", "thp": "never", "sha": "b"})
+        self.assertEqual(result.returncode, 0, result.stderr)
+        notes = self.notes(result)
+        self.assertEqual(len(notes), 2, result.stdout)
+        self.assertIn("nproc", notes[0])
+        self.assertIn("baseline 4, candidate 2", notes[0])
+        self.assertIn("thp", notes[1])
+        self.assertIn("baseline madvise, candidate never", notes[1])
+
+    def test_matching_hosts_and_other_keys_get_no_note(self):
+        result = self.compare({"nproc": "4", "thp": "madvise", "sha": "a"},
+                              {"nproc": "4", "thp": "madvise", "sha": "b"})
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(self.notes(result), [])
+
+    def test_unrecorded_key_is_named(self):
+        result = self.compare({"nproc": "4"}, {"nproc": "4", "thp": "always"})
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(self.notes(result),
+                         ["note: context thp differs: baseline unrecorded, "
+                          "candidate always"])
+
+
 class SplitBenchDomainsTest(TempDocs):
     def out_dir(self):
         return os.path.join(self.dir.name, "out")
@@ -155,17 +221,8 @@ class RunBenchesMalformedTest(TempDocs):
         # document, as a bench dying mid-write would.
         bench_dir = os.path.join(self.dir.name, "bench")
         os.makedirs(bench_dir)
-        fake = os.path.join(bench_dir, "fig1_small_contended")
-        with open(fake, "w", encoding="utf-8") as handle:
-            handle.write("#!/bin/sh\n"
-                         "out=\"\"\n"
-                         "while [ $# -gt 0 ]; do\n"
-                         "  if [ \"$1\" = \"--json\" ]; then out=\"$2\"; "
-                         "shift; fi\n"
-                         "  shift\n"
-                         "done\n"
-                         "printf '{\"schema\": \"vbl-be' > \"$out\"\n")
-        os.chmod(fake, os.stat(fake).st_mode | stat.S_IXUSR)
+        write_fake_bench(os.path.join(bench_dir, "fig1_small_contended"),
+                         '{"schema": "vbl-be')
         out = os.path.join(self.dir.name, "merged.json")
         result = run_tool("run_benches.py", "--build-dir", self.dir.name,
                           "--out", out)
@@ -174,6 +231,36 @@ class RunBenchesMalformedTest(TempDocs):
         self.assertIn("malformed", result.stderr)
         self.assertNotIn("Traceback", result.stderr)
         self.assertFalse(os.path.exists(out))
+
+
+class RunBenchesThpTest(TempDocs):
+    def test_merged_context_records_thp_mode(self):
+        run_benches = load_run_benches()
+        bench_dir = os.path.join(self.dir.name, "bench")
+        os.makedirs(bench_dir)
+        args = run_benches.argparse.Namespace(
+            duration_ms=1, warmup_ms=1, repeats=1, seed=1, threads="1")
+        for name, _ in run_benches.bench_invocations(args):
+            write_fake_bench(os.path.join(bench_dir, name),
+                             json.dumps(bench_doc([])))
+        out = os.path.join(self.dir.name, "merged.json")
+        result = run_tool("run_benches.py", "--build-dir", self.dir.name,
+                          "--out", out)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        with open(out, encoding="utf-8") as handle:
+            context = json.load(handle)["context"]
+        self.assertEqual(context["thp"], run_benches.thp_mode())
+
+    def test_thp_mode_reads_the_bracketed_word(self):
+        thp_mode = load_run_benches().thp_mode
+        for text, mode in (("always [madvise] never\n", "madvise"),
+                           ("[always] madvise never\n", "always"),
+                           ("always madvise [never]\n", "never"),
+                           ("always madvise never\n", "unknown")):
+            path = self.write("enabled", text)
+            self.assertEqual(thp_mode(path), mode, text)
+        self.assertEqual(thp_mode(os.path.join(self.dir.name, "absent")),
+                         "unknown")
 
 
 if __name__ == "__main__":
