@@ -992,6 +992,31 @@ private:
     return true;
   }
 
+  /// Locks \p Pred for a structural change to its successor (freeze,
+  /// unlink or merge), keeping the lock only if Pred is unmarked and
+  /// still links to \p Curr. Under VBR Pred's birth is read last: Pred
+  /// could be a recycled block mid-revival as an unpublished chunk whose
+  /// next happens to equal Curr, and writing through it would corrupt
+  /// the reviver, so the check pins the incarnation the route certified.
+  bool lockPredLinkedTo(Chunk *Pred, Chunk *Curr,
+                        [[maybe_unused]] typename Reclaim::Guard &G)
+      VBL_TRY_ACQUIRE(true, Pred->Lock) {
+    return Pred->Lock.template acquireIfValidSince<Policy>(
+        Pred, ChunkLock::InvalidVersion, [&] {
+          if (Policy::readCheck(Pred->Marked, std::memory_order_acquire,
+                                Pred, MemField::Marked))
+            return false;
+          const bool Linked =
+              Policy::readCheck(Pred->Next, std::memory_order_acquire, Pred,
+                                MemField::Next) == Curr;
+          if constexpr (Versioned) {
+            if (!Domain.validAt(Pred, G.version()))
+              return false;
+          }
+          return Linked;
+        });
+  }
+
   /// Insert when the routed chunk has no clean slot: lock (pred, chunk)
   /// in list order, re-decide from data, then either use a slot that a
   /// concurrent remove freed up, or freeze the chunk and replace it
@@ -1002,25 +1027,7 @@ private:
     auto [Pred, Curr] = route(Key, G);
     if (Curr == Head)
       return spliceAfterHead(Key) ? 1 : -1;
-    if (!Pred->Lock.template acquireIfValidSince<Policy>(
-            Pred, ChunkLock::InvalidVersion, [&] {
-              if (Policy::readCheck(Pred->Marked,
-                                    std::memory_order_acquire, Pred,
-                                    MemField::Marked))
-                return false;
-              const bool Linked =
-                  Policy::readCheck(Pred->Next, std::memory_order_acquire,
-                                    Pred, MemField::Next) == Curr;
-              if constexpr (Versioned) {
-                // Pred could be a recycled block mid-revival as an
-                // unpublished chunk whose next happens to equal Curr;
-                // writing through it would corrupt the reviver. Pin the
-                // incarnation the route certified (birth read last).
-                if (!Domain.validAt(Pred, G.version()))
-                  return false;
-              }
-              return Linked;
-            })) {
+    if (!lockPredLinkedTo(Pred, Curr, G)) {
       stats::bump(stats::Counter::ChunkValidationAborts);
       return -1;
     }
@@ -1128,25 +1135,7 @@ private:
   /// empty), mark and unlink. Any failed validation simply gives up —
   /// an empty unmarked chunk is legal and a later insert compacts it.
   void tryUnlinkEmpty(Chunk *Pred, Chunk *Curr, typename Reclaim::Guard &G) {
-    (void)G;
-    if (!Pred->Lock.template acquireIfValidSince<Policy>(
-            Pred, ChunkLock::InvalidVersion, [&] {
-              if (Policy::readCheck(Pred->Marked,
-                                    std::memory_order_acquire, Pred,
-                                    MemField::Marked))
-                return false;
-              const bool Linked =
-                  Policy::readCheck(Pred->Next, std::memory_order_acquire,
-                                    Pred, MemField::Next) == Curr;
-              if constexpr (Versioned) {
-                // Same hazard as structuralInsert: exclude a block that
-                // was recycled into an unpublished chunk whose next
-                // pointer coincidentally equals Curr.
-                if (!Domain.validAt(Pred, G.version()))
-                  return false;
-              }
-              return Linked;
-            }))
+    if (!lockPredLinkedTo(Pred, Curr, G))
       return;
     // No birth check on Curr even under VBR: with Pred certified live,
     // locked and linked to Curr, Curr is its genuine current successor
@@ -1217,25 +1206,7 @@ private:
   /// remove retries.
   void tryMergeWithNext(Chunk *Pred, Chunk *Curr,
                         typename Reclaim::Guard &G) {
-    (void)G;
-    if (!Pred->Lock.template acquireIfValidSince<Policy>(
-            Pred, ChunkLock::InvalidVersion, [&] {
-              if (Policy::readCheck(Pred->Marked,
-                                    std::memory_order_acquire, Pred,
-                                    MemField::Marked))
-                return false;
-              const bool Linked =
-                  Policy::readCheck(Pred->Next, std::memory_order_acquire,
-                                    Pred, MemField::Next) == Curr;
-              if constexpr (Versioned) {
-                // Same hazard as tryUnlinkEmpty: exclude a block recycled
-                // into an unpublished chunk whose next pointer
-                // coincidentally equals Curr.
-                if (!Domain.validAt(Pred, G.version()))
-                  return false;
-              }
-              return Linked;
-            })) {
+    if (!lockPredLinkedTo(Pred, Curr, G)) {
       stats::bump(stats::Counter::ChunkValidationAborts);
       return;
     }

@@ -10,9 +10,11 @@
 /// deadlock-free, *concurrency-optimal* list-based set. Three ideas
 /// compose:
 ///
-///  1. Wait-free value-based traversals (shared with the Lazy list, but
-///     without reading any deletion metadata), restarting from `prev`
-///     rather than from the head after a failed validation.
+///  1. Wait-free value-based traversals: the Lazy list's walk, but
+///     reading keys and next pointers only (contains and rangeQuery
+///     read no deletion mark at all). A failed validation restarts
+///     from `prev` rather than from the head; the one mark an update
+///     reads is that anchor's, to fall back to the head if it died.
 ///  2. Logical deletion before physical unlink (from Harris-Michael),
 ///     done under locks so each node is unlinked exactly once.
 ///  3. The value-aware try-lock (§3.1): updates validate the *data*
@@ -31,6 +33,10 @@
 ///    insert-present before locking. Setting this false degrades the
 ///    algorithm to Lazy-style node-identity validation, quantifying the
 ///    contribution of the value-aware rule in isolation.
+///
+/// Every traversal (contains, rangeQuery and the update traversal) runs
+/// the one hop loop walk(); version-based reclamation only changes how
+/// a hop is certified inside it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -145,53 +151,17 @@ public:
       return 0;
     typename Reclaim::Guard G(Domain);
     const size_t Entry = Out.size();
-    if constexpr (Versioned) {
-      for (;;) {
-        Out.resize(Entry); // Discard any partial attempt.
-        const Node *Curr = Policy::read(Head->Next,
-                                        std::memory_order_acquire, Head,
-                                        MemField::Next);
-        uint64_t Hops = 0;
-        bool Restart = false;
-        for (;;) {
-          const SetKey Val = readVal(Curr);
-          const Node *Succ = Policy::read(Curr->Next,
-                                          std::memory_order_acquire, Curr,
-                                          MemField::Next);
-          if (!Domain.validAt(Curr, G.version())) {
-            Restart = true; // Recycled under us: redo the collect.
-            break;
-          }
+    walk(
+        Head, G,
+        [&](SetKey Val) {
           if (Val > Hi)
-            break;
+            return true; // The tail sentinel stops every walk.
           if (Val >= Lo)
             Out.push_back(Val);
-          Curr = Succ;
-          ++Hops;
-        }
-        stats::noteTraversal(Hops);
-        if (!Restart)
-          return Out.size() - Entry;
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
-      const Node *Curr = Head;
-      SetKey Val = Policy::readValue(Curr->Val, Curr);
-      uint64_t Hops = 0;
-      while (Val <= Hi) {
-        if (Val >= Lo)
-          Out.push_back(Val);
-        Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                            MemField::Next);
-        if constexpr (!Policy::Traced)
-          VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
-        Val = Policy::readValue(Curr->Val, Curr);
-        ++Hops;
-      }
-      stats::noteTraversal(Hops);
-      return Out.size() - Entry;
-    }
+          return false;
+        },
+        [&] { Out.resize(Entry); }); // Discard any partial attempt.
+    return Out.size() - Entry;
   }
 
   //===--------------------------------------------------------------===//
@@ -227,53 +197,9 @@ public:
   bool containsFrom(SetKey Key, const Node *Start) const {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
     typename Reclaim::Guard G(Domain);
-    if constexpr (Versioned) {
-      // Per hop: read the node's fields, then certify its birth epoch
-      // against the start version. A reject means the memory under us
-      // was recycled mid-walk — refresh the version and re-enter from
-      // the never-retired anchor. Degrades wait-free to lock-free
-      // (every reject is caused by another thread's completed reuse).
-      for (;;) {
-        const Node *Curr = Policy::read(Start->Next,
-                                        std::memory_order_acquire, Start,
-                                        MemField::Next);
-        uint64_t Hops = 0;
-        for (;;) {
-          const SetKey Val = readVal(Curr);
-          const Node *Succ = Policy::read(Curr->Next,
-                                          std::memory_order_acquire, Curr,
-                                          MemField::Next);
-          if (!Domain.validAt(Curr, G.version()))
-            break; // Recycled under us: restart.
-          if (Val >= Key) {
-            stats::noteTraversal(Hops);
-            return Val == Key;
-          }
-          Curr = Succ;
-          ++Hops;
-        }
-        stats::noteTraversal(Hops);
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
-      const Node *Curr = Start;
-      SetKey Val = Policy::readValue(Curr->Val, Curr);
-      uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-      while (Val < Key) {
-        Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                            MemField::Next);
-        // Pull the successor's line while this node's key is compared.
-        // Direct mode only: traced runs must not perform an extra
-        // scheduler-invisible shared read.
-        if constexpr (!Policy::Traced)
-          VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
-        Val = Policy::readValue(Curr->Val, Curr);
-        ++Hops;
-      }
-      stats::noteTraversal(Hops);
-      return Val == Key;
-    }
+    return std::get<2>(walk(
+               const_cast<Node *>(Start), G,
+               [Key](SetKey Val) { return Val >= Key; }, [] {})) == Key;
   }
 
   /// Get-or-insert for split-order dummy nodes: returns a handle to the
@@ -502,9 +428,9 @@ private:
     }
   }
 
-  /// Batch membership test. Unlike containsFrom's specialized walk this
-  /// rides traverse() so it can hand the predecessor back as the next
-  /// op's anchor; the read protocol is the same wait-free value walk.
+  /// Batch membership test. It rides traverse() rather than
+  /// containsFrom so it can hand the predecessor back as the next op's
+  /// anchor; both run the same wait-free value walk.
   bool containsCore(SetKey Key, Node *&Anchor, typename Reclaim::Guard &G) {
     auto [Prev, Curr, Val] = traverse(Key, Anchor, G);
     (void)Curr;
@@ -512,70 +438,86 @@ private:
     return Val == Key;
   }
 
-  /// §3.2 waitfreeTraversal: returns (prev, curr, curr.val) with
-  /// prev.val < Key <= curr.val. Starts from \p Start unless it has been
-  /// logically deleted, in which case it falls back to the head. The
-  /// value is returned so callers decide from the traversal's own read
-  /// (LL's tval) instead of re-reading.
+  /// The update traversal: walk() to the first node with key >= \p Key,
+  /// returning (prev, curr, curr.val) with prev.val < Key <= curr.val.
+  /// The value is returned so callers decide from the traversal's own
+  /// read (LL's tval) instead of re-reading. \p Start is the caller's
+  /// carried anchor; the walk enters there unless it has been logically
+  /// deleted, in which case it falls back to the head (the one deletion
+  /// mark any traversal reads, and only on the restart-from-prev path).
   ///
   /// VBR mode: \p Start must be a never-retired anchor (head or bucket
-  /// dummy — restart-from-prev is disabled because a once-certified
+  /// dummy): restart-from-prev is disabled because a once-certified
   /// prev may be recycled into an in-flight, not-yet-published node
-  /// that no birth check against a refreshed version can reject). Each
-  /// hop reads curr's key and next, then certifies curr's birth against
-  /// the guard's version; a reject refreshes the version and re-walks.
+  /// that no birth check against a refreshed version can reject.
+  std::tuple<Node *, Node *, SetKey>
+  traverse(SetKey Key, Node *Start, typename Reclaim::Guard &G) const {
+    if constexpr (!Versioned)
+      if (!RestartFromPrev ||
+          Policy::read(Start->Deleted, std::memory_order_acquire, Start,
+                       MemField::Marked))
+        Start = Head;
+    return walk(
+        Start, G, [Key](SetKey Val) { return Val >= Key; }, [] {});
+  }
+
+  /// §3.2 waitfreeTraversal, the list's one hop loop: follows next
+  /// pointers from \p Start, reading each node's key and nothing else
+  /// (no lock, no deletion mark), until \p Stop accepts a key. Returns
+  /// (prev, curr, curr.val) for that node, prev being the node whose
+  /// next field led to it. Stop sees every key in list order and may
+  /// collect it; \p BeginAttempt runs before every attempt, the first
+  /// included, so a caller can discard what a failed attempt collected.
+  ///
+  /// VBR mode: each hop reads curr's key and next, then certifies
+  /// curr's birth epoch against the guard's version before Stop sees
+  /// the key; a reject refreshes the version and re-walks from Start.
   /// Every node the walk advances over was therefore retired (if at
   /// all) no earlier than the start version, which is what makes the
   /// frozen next pointers of deleted-but-recycled-later nodes safe to
-  /// traverse.
+  /// traverse. This degrades wait-free to lock-free: every reject is
+  /// caused by another thread's completed reuse.
+  template <class StopFn, class AttemptFn>
   std::tuple<Node *, Node *, SetKey>
-  traverse(SetKey Key, Node *Start, typename Reclaim::Guard &G) const {
-    if constexpr (Versioned) {
-      for (;;) {
-        Node *Prev = Start;
-        Node *Curr = Policy::read(Prev->Next, std::memory_order_acquire,
-                                  Prev, MemField::Next);
-        uint64_t Hops = 0;
-        for (;;) {
-          const SetKey Val = readVal(Curr);
-          Node *Succ = Policy::read(Curr->Next, std::memory_order_acquire,
-                                    Curr, MemField::Next);
-          if (!Domain.validAt(Curr, G.version()))
-            break; // Recycled under us: restart from the anchor.
-          if (Val >= Key) {
-            stats::noteTraversal(Hops);
-            return {Prev, Curr, Val};
-          }
-          Prev = Curr;
-          Curr = Succ;
-          ++Hops;
-        }
-        stats::noteTraversal(Hops);
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
+  walk(Node *Start, [[maybe_unused]] typename Reclaim::Guard &G,
+       StopFn Stop, AttemptFn BeginAttempt) const {
+    for (;;) {
+      BeginAttempt();
       Node *Prev = Start;
-      if (!RestartFromPrev ||
-          Policy::read(Prev->Deleted, std::memory_order_acquire, Prev,
-                       MemField::Marked))
-        Prev = Head;
       Node *Curr = Policy::read(Prev->Next, std::memory_order_acquire, Prev,
                                 MemField::Next);
-      SetKey Val = Policy::readValue(Curr->Val, Curr);
-      uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-      while (Val < Key) {
-        Prev = Curr;
-        Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                            MemField::Next);
-        // See containsFrom: overlap the successor fetch with the compare.
-        if constexpr (!Policy::Traced)
+      uint64_t Hops = 0; // One per next pointer followed; one stats call.
+      for (;;) {
+        // Pull the successor's line while this node's key is compared
+        // (direct mode over grace-period domains only: traced runs must
+        // not perform an extra scheduler-invisible shared read).
+        if constexpr (!Versioned && !Policy::Traced)
           VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
-        Val = Policy::readValue(Curr->Val, Curr);
         ++Hops;
+        const SetKey Val = readVal(Curr);
+        Node *Succ = nullptr;
+        if constexpr (Versioned) {
+          Succ = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                              MemField::Next);
+          if (!Domain.validAt(Curr, G.version()))
+            break; // Recycled under us: restart from the anchor.
+        }
+        if (Stop(Val)) {
+          stats::noteTraversal(Hops);
+          return {Prev, Curr, Val};
+        }
+        Prev = Curr;
+        if constexpr (Versioned)
+          Curr = Succ;
+        else
+          Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                              MemField::Next);
       }
+      // Only a VBR birth reject leaves the hop loop.
       stats::noteTraversal(Hops);
-      return {Prev, Curr, Val};
+      if constexpr (Versioned)
+        G.refresh();
+      Policy::onRestart();
     }
   }
 

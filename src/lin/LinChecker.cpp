@@ -203,6 +203,25 @@ vbl::lin::decomposeScans(const std::vector<CompletedScan> &Scans,
   return Synthesized;
 }
 
+std::string vbl::lin::scanOutputError(SetKey Lo, SetKey Hi,
+                                      const std::vector<SetKey> &Keys,
+                                      size_t Returned) {
+  const auto Window = "scan [" + std::to_string(Lo) + ", " +
+                      std::to_string(Hi) + "]";
+  if (Keys.size() != Returned)
+    return Window + " returned " + std::to_string(Returned) +
+           " but appended " + std::to_string(Keys.size()) + " keys";
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    if (Keys[I] < Lo || Keys[I] > Hi)
+      return Window + " reported " + std::to_string(Keys[I]) +
+             ", outside its window";
+    if (I != 0 && Keys[I] <= Keys[I - 1])
+      return Window + " reported " + std::to_string(Keys[I]) + " after " +
+             std::to_string(Keys[I - 1]) + ": not strictly ascending";
+  }
+  return {};
+}
+
 LinResult vbl::lin::checkSetHistory(
     const std::vector<CompletedOp> &History,
     const std::vector<SetKey> &InitialKeys) {

@@ -70,6 +70,16 @@ std::vector<CompletedOp>
 decomposeScans(const std::vector<CompletedScan> &Scans,
                const std::vector<SetKey> &Universe);
 
+/// What is wrong with the keys one scan over [\p Lo, \p Hi] appended,
+/// or an empty string when nothing is: they must be strictly ascending,
+/// lie inside the window, and number \p Returned (the scan's own
+/// count). decomposeScans reads the keys through a set, so this is the
+/// only check a duplicated key (say, a restart that kept its partial
+/// collect) meets; run it on every scan before lowering it.
+std::string scanOutputError(SetKey Lo, SetKey Hi,
+                            const std::vector<SetKey> &Keys,
+                            size_t Returned);
+
 } // namespace lin
 } // namespace vbl
 

@@ -114,8 +114,7 @@ public:
   // Suppressed: see insert().
   bool contains(SetKey Key) const VBL_NO_THREAD_SAFETY_ANALYSIS {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
-    auto [Prev, Curr] =
-        const_cast<HandOverHandList *>(this)->lockedTraverse(Key);
+    auto [Prev, Curr] = lockedTraverse(Key);
     const bool Present = Curr->Val == Key;
     Policy::lockRelease(Curr->NodeLock, Curr);
     Policy::lockRelease(Prev->NodeLock, Prev);
@@ -134,24 +133,14 @@ public:
                "sentinel keys are reserved");
     if (Lo > Hi)
       return 0;
-    auto *Self = const_cast<HandOverHandList *>(this);
     const size_t Entry = Out.size();
-    Node *Prev = Self->Head;
-    Policy::lockAcquire(Prev->NodeLock, Prev);
-    Node *Curr = Policy::read(Prev->Next, std::memory_order_relaxed, Prev,
-                              MemField::Next);
-    Policy::lockAcquire(Curr->NodeLock, Curr);
-    SetKey Val = Policy::readValue(Curr->Val, Curr);
-    while (Val <= Hi) {
+    auto [Prev, Curr] = walk([&](SetKey Val) {
+      if (Val > Hi)
+        return true; // The tail sentinel stops every walk.
       if (Val >= Lo)
         Out.push_back(Val);
-      Policy::lockRelease(Prev->NodeLock, Prev);
-      Prev = Curr;
-      Curr = Policy::read(Curr->Next, std::memory_order_relaxed, Curr,
-                          MemField::Next);
-      Policy::lockAcquire(Curr->NodeLock, Curr);
-      Val = Policy::readValue(Curr->Val, Curr);
-    }
+      return false;
+    });
     Policy::lockRelease(Curr->NodeLock, Curr);
     Policy::lockRelease(Prev->NodeLock, Prev);
     return Out.size() - Entry;
@@ -183,18 +172,27 @@ private:
 
   /// Returns (prev, curr) with both locks held and
   /// prev.val < Key <= curr.val.
+  std::pair<Node *, Node *> lockedTraverse(SetKey Key) const {
+    return walk([Key](SetKey Val) { return Val >= Key; });
+  }
+
+  /// The list's one hop loop, lock-coupled: from the head, holding the
+  /// lock of the node it stands on and of the one it reads, until
+  /// \p Stop accepts a key (Stop sees every key in list order and may
+  /// collect it). Returns (prev, curr) for that node, both locks held.
   //
   // Suppressed: the coupling loop acquires and releases locks through a
   // moving pointer pair and exits holding the two locks named by its
   // *return value* — neither is expressible as a lexical capability.
-  std::pair<Node *, Node *> lockedTraverse(SetKey Key)
+  template <class StopFn>
+  std::pair<Node *, Node *> walk(StopFn Stop) const
       VBL_NO_THREAD_SAFETY_ANALYSIS {
     Node *Prev = Head;
     Policy::lockAcquire(Prev->NodeLock, Prev);
     Node *Curr = Policy::read(Prev->Next, std::memory_order_relaxed, Prev,
                               MemField::Next);
     Policy::lockAcquire(Curr->NodeLock, Curr);
-    while (Policy::readValue(Curr->Val, Curr) < Key) {
+    while (!Stop(Policy::readValue(Curr->Val, Curr))) {
       Policy::lockRelease(Prev->NodeLock, Prev);
       Prev = Curr;
       Curr = Policy::read(Curr->Next, std::memory_order_relaxed, Curr,

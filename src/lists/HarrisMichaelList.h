@@ -25,7 +25,9 @@
 /// algorithm with) each hop first publishes the node and revalidates the
 /// edge it was read from, and contains/rangeQuery take the helping
 /// protected walk, so they are lock-free rather than wait-free. Epoch,
-/// leaky and other guard-scoped domains compile none of that in.
+/// leaky and other guard-scoped domains compile none of that in: their
+/// contains/rangeQuery run peek(), the one read-only walk beside the
+/// helping walk() that every update's find() runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -181,33 +183,24 @@ public:
     }
   }
 
-  /// Wait-free contains: traverses without helping, then reads the mark
-  /// from the found node's next word. Under hazard pointers every hop
-  /// needs the revalidation loop, so it runs find() instead (lock-free).
+  /// Wait-free contains: the read-only walk without helping, then the
+  /// mark from the found node's next word. Under hazard pointers every
+  /// hop needs the revalidation loop, so it runs find() instead
+  /// (lock-free).
   bool containsFrom(SetKey Key, const Node *Start) const {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
     Guard G(Domain);
     if constexpr (Hazard)
       return mutableThis()->find(Key, const_cast<Node *>(Start), G)
                  .second->Val == Key;
-    const Node *Curr = Start;
-    SetKey Val = Policy::readValue(Curr->Val, Curr);
-    uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-    while (Val < Key) {
-      Curr = ptrOf(Policy::read(Curr->Next, std::memory_order_acquire,
-                                Curr, MemField::Next));
-      // Pull the successor's line while this node's key is compared
-      // (direct mode only; traced runs take no invisible shared reads).
-      if constexpr (!Policy::Traced)
-        VBL_PREFETCH(ptrOf(Curr->Next.load(std::memory_order_relaxed)));
-      Val = Policy::readValue(Curr->Val, Curr);
-      ++Hops;
-    }
-    stats::noteTraversal(Hops);
-    if (Val != Key)
-      return false;
-    return !markOf(Policy::read(Curr->Next, std::memory_order_acquire,
-                                Curr, MemField::Next));
+    bool Present = false;
+    peek(Start, [&](SetKey Val, auto Mark) {
+      if (Val < Key)
+        return false;
+      Present = Val == Key && !Mark();
+      return true;
+    });
+    return Present;
   }
 
   /// Wait-free range scan: appends every unmarked key in [Lo, Hi] to
@@ -239,22 +232,13 @@ public:
           [&] { Out.resize(Entry); });
       return Out.size() - Entry;
     }
-    const Node *Curr = ptrOf(Policy::read(
-        Head->Next, std::memory_order_acquire, Head, MemField::Next));
-    SetKey Val = Policy::readValue(Curr->Val, Curr);
-    uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-    while (Val <= Hi) {
-      const uintptr_t Word = Policy::read(
-          Curr->Next, std::memory_order_acquire, Curr, MemField::Next);
-      if (Val >= Lo && !markOf(Word))
+    peek(Head, [&](SetKey Val, auto Mark) {
+      if (Val > Hi)
+        return true; // The tail sentinel stops every walk.
+      if (Val >= Lo && !Mark())
         Out.push_back(Val);
-      Curr = ptrOf(Word);
-      if constexpr (!Policy::Traced)
-        VBL_PREFETCH(ptrOf(Curr->Next.load(std::memory_order_relaxed)));
-      Val = Policy::readValue(Curr->Val, Curr);
-      ++Hops;
-    }
-    stats::noteTraversal(Hops);
+      return false;
+    });
     return Out.size() - Entry;
   }
 
@@ -387,6 +371,44 @@ private:
       if constexpr (Hazard)
         G.set(reclaim::HazardSlotPrev, Curr);
       Curr = Succ;
+    }
+  }
+
+  /// The read-only walk beside walk(), for guard-scoped domains: from
+  /// \p Start (the head, or a never-removed bucket dummy) it follows
+  /// next words without helping, reading each node's key, until
+  /// \p Visit accepts one. Visit(Val, Mark) sees every node in list
+  /// order, marked ones included, and may call Mark() for the node's
+  /// deletion mark; that read of the next word is also the one the walk
+  /// advances by, so each node's word is read once, and not at all for
+  /// the node Visit stops on unless Visit asks.
+  template <class VisitFn>
+  void peek(const Node *Start, VisitFn Visit) const {
+    const Node *Curr = ptrOf(Policy::read(
+        Start->Next, std::memory_order_acquire, Start, MemField::Next));
+    uint64_t Hops = 0; // One per next pointer followed; one stats call.
+    for (;;) {
+      // Pull the successor's line while this node's key is compared
+      // (direct mode only; traced runs take no invisible shared reads).
+      if constexpr (!Policy::Traced)
+        VBL_PREFETCH(ptrOf(Curr->Next.load(std::memory_order_relaxed)));
+      ++Hops;
+      uintptr_t Word = 0;
+      bool WordRead = false;
+      const auto Mark = [&] {
+        Word = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                            MemField::Next);
+        WordRead = true;
+        return markOf(Word);
+      };
+      if (Visit(Policy::readValue(Curr->Val, Curr), Mark)) {
+        stats::noteTraversal(Hops);
+        return;
+      }
+      if (!WordRead)
+        Word = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                            MemField::Next);
+      Curr = ptrOf(Word);
     }
   }
 

@@ -19,6 +19,11 @@
 /// holds X1's lock — is therefore rejected (insert(1) blocks), which the
 /// schedule tests demonstrate via the traced policy.
 ///
+/// contains, rangeQuery and the update traversal all run the one hop
+/// loop walk(), which is VBL's value walk plus a mark read wherever its
+/// caller asks for one. Version-based reclamation changes only how a
+/// hop is certified; it makes the walk lock-free instead of wait-free.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VBL_LISTS_LAZYLIST_H
@@ -154,63 +159,27 @@ public:
     }
   }
 
-  /// Wait-free contains: traverse by value, then consult the mark.
-  /// Under VBR the walk is birth-checked per hop and restarts from the
-  /// head on a reject (lock-free, not wait-free; rejects only happen
-  /// when another thread completed a reuse).
+  /// Wait-free contains: walk by value, then consult the found node's
+  /// mark. Under VBR the walk is birth-checked per hop (the mark read
+  /// included) and restarts from the head on a reject (lock-free, not
+  /// wait-free; rejects only happen when another thread completed a
+  /// reuse).
   bool contains(SetKey Key) const {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
     typename Reclaim::Guard G(Domain);
-    if constexpr (Versioned) {
-      for (;;) {
-        const Node *Curr = Policy::read(Head->Next,
-                                        std::memory_order_acquire, Head,
-                                        MemField::Next);
-        uint64_t Hops = 0;
-        for (;;) {
-          const SetKey Val = readVal(Curr);
-          const Node *Succ = Policy::read(Curr->Next,
-                                          std::memory_order_acquire, Curr,
-                                          MemField::Next);
-          if (!Domain.validAt(Curr, G.version()))
-            break; // Recycled under us: restart.
-          if (Val >= Key) {
-            const bool Marked = Policy::read(Curr->Marked,
-                                             std::memory_order_acquire,
-                                             Curr, MemField::Marked);
-            // Certify the mark read too: it happened after the check
-            // above and the block may have been recycled in between.
-            if (!Domain.validAt(Curr, G.version()))
-              break;
-            stats::noteTraversal(Hops);
-            return Val == Key && !Marked;
-          }
-          Curr = Succ;
-          ++Hops;
-        }
-        stats::noteTraversal(Hops);
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
-      const Node *Curr = Head;
-      SetKey Val = Policy::readValue(Curr->Val, Curr);
-      uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-      while (Val < Key) {
-        Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                            MemField::Next);
-        // Pull the successor's line while this node's key is compared
-        // (direct mode only; traced runs take no invisible shared reads).
-        if constexpr (!Policy::Traced)
-          VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
-        Val = Policy::readValue(Curr->Val, Curr);
-        ++Hops;
-      }
-      stats::noteTraversal(Hops);
-      return Val == Key && !Policy::read(Curr->Marked,
-                                         std::memory_order_acquire, Curr,
-                                         MemField::Marked);
-    }
+    bool Present = false;
+    walk(
+        G,
+        [&](SetKey Val, auto Mark) {
+          if (Val < Key)
+            return false;
+          // Under VBR every stop reads (and certifies) the mark.
+          Present = Versioned ? !Mark() && Val == Key
+                              : Val == Key && !Mark();
+          return true;
+        },
+        [] {});
+    return Present;
   }
 
   /// Wait-free range scan: the contains() walk extended across
@@ -226,65 +195,17 @@ public:
       return 0;
     typename Reclaim::Guard G(Domain);
     const size_t Entry = Out.size();
-    if constexpr (Versioned) {
-      for (;;) {
-        Out.resize(Entry); // Discard any partial attempt.
-        const Node *Curr = Policy::read(Head->Next,
-                                        std::memory_order_acquire, Head,
-                                        MemField::Next);
-        uint64_t Hops = 0;
-        bool Restart = false;
-        for (;;) {
-          const SetKey Val = readVal(Curr);
-          const Node *Succ = Policy::read(Curr->Next,
-                                          std::memory_order_acquire, Curr,
-                                          MemField::Next);
-          if (!Domain.validAt(Curr, G.version())) {
-            Restart = true; // Recycled under us: redo the collect.
-            break;
-          }
+    walk(
+        G,
+        [&](SetKey Val, auto Mark) {
           if (Val > Hi)
-            break;
-          if (Val >= Lo) {
-            const bool Marked = Policy::read(Curr->Marked,
-                                             std::memory_order_acquire,
-                                             Curr, MemField::Marked);
-            // Certify the mark read too (see contains()).
-            if (!Domain.validAt(Curr, G.version())) {
-              Restart = true;
-              break;
-            }
-            if (!Marked)
-              Out.push_back(Val);
-          }
-          Curr = Succ;
-          ++Hops;
-        }
-        stats::noteTraversal(Hops);
-        if (!Restart)
-          return Out.size() - Entry;
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
-      const Node *Curr = Head;
-      SetKey Val = Policy::readValue(Curr->Val, Curr);
-      uint64_t Hops = 0;
-      while (Val <= Hi) {
-        if (Val >= Lo &&
-            !Policy::read(Curr->Marked, std::memory_order_acquire, Curr,
-                          MemField::Marked))
-          Out.push_back(Val);
-        Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                            MemField::Next);
-        if constexpr (!Policy::Traced)
-          VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
-        Val = Policy::readValue(Curr->Val, Curr);
-        ++Hops;
-      }
-      stats::noteTraversal(Hops);
-      return Out.size() - Entry;
-    }
+            return true; // The tail sentinel stops every walk.
+          if (Val >= Lo && !Mark())
+            Out.push_back(Val);
+          return false;
+        },
+        [&] { Out.resize(Entry); }); // Discard any partial attempt.
+    return Out.size() - Entry;
   }
 
   Reclaim &reclaimDomain() { return Domain; }
@@ -361,59 +282,85 @@ private:
     }
   }
 
-  /// Wait-free traversal from the head (the Lazy list has no
-  /// restart-from-prev optimisation). Returns curr's value as well:
-  /// values are immutable, so the presence decision made under the
-  /// locks can reuse the traversal's read.
-  ///
-  /// VBR mode: each hop reads curr's key and next, then certifies
-  /// curr's birth epoch against the guard's version; a reject refreshes
-  /// the version and re-walks from the head (see VblList::traverse for
-  /// the safety argument).
+  /// The update traversal: walk() from the head (the Lazy list has no
+  /// restart-from-prev optimisation) to the first node with key >=
+  /// \p Key, returning (prev, curr, curr.val). Values are immutable, so
+  /// the presence decision made under the locks can reuse the
+  /// traversal's read.
   std::tuple<Node *, Node *, SetKey>
   traverse(SetKey Key, typename Reclaim::Guard &G) const {
-    if constexpr (Versioned) {
-      for (;;) {
-        Node *Prev = Head;
-        Node *Curr = Policy::read(Prev->Next, std::memory_order_acquire,
-                                  Prev, MemField::Next);
-        uint64_t Hops = 0;
-        for (;;) {
-          const SetKey Val = readVal(Curr);
-          Node *Succ = Policy::read(Curr->Next, std::memory_order_acquire,
-                                    Curr, MemField::Next);
-          if (!Domain.validAt(Curr, G.version()))
-            break; // Recycled under us: restart from the head.
-          if (Val >= Key) {
-            stats::noteTraversal(Hops);
-            return {Prev, Curr, Val};
-          }
-          Prev = Curr;
-          Curr = Succ;
-          ++Hops;
-        }
-        stats::noteTraversal(Hops);
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
+    return walk(
+        G, [Key](SetKey Val, auto) { return Val >= Key; }, [] {});
+  }
+
+  /// The list's one hop loop (Heller et al.'s wait-free traversal):
+  /// follows next pointers from the head, reading each node's key,
+  /// until \p Visit accepts one. Visit(Val, Mark) sees every key in list
+  /// order and may call Mark() to read that node's deletion mark (the
+  /// walk reads no mark otherwise). Returns (prev, curr, curr.val) for
+  /// the node Visit stopped on. \p BeginAttempt runs before every
+  /// attempt, the first included, so a caller can discard what a
+  /// failed attempt collected.
+  ///
+  /// VBR mode: each hop reads curr's key and next, then certifies
+  /// curr's birth epoch against the guard's version before Visit sees
+  /// the key, and a Mark() read is certified the same way after it; a
+  /// reject refreshes the version and re-walks from the head (see
+  /// VblList::walk for the safety argument).
+  template <class VisitFn, class AttemptFn>
+  std::tuple<Node *, Node *, SetKey>
+  walk([[maybe_unused]] typename Reclaim::Guard &G, VisitFn Visit,
+       AttemptFn BeginAttempt) const {
+    for (;;) {
+      BeginAttempt();
       Node *Prev = Head;
       Node *Curr = Policy::read(Prev->Next, std::memory_order_acquire, Prev,
                                 MemField::Next);
-      SetKey Val = Policy::readValue(Curr->Val, Curr);
-      uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-      while (Val < Key) {
-        Prev = Curr;
-        Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                            MemField::Next);
-        // See contains(): overlap the successor fetch with the compare.
-        if constexpr (!Policy::Traced)
+      uint64_t Hops = 0; // One per next pointer followed; one stats call.
+      bool Recycled = false;
+      for (;;) {
+        // Pull the successor's line while this node's key is compared
+        // (direct mode over grace-period domains only: traced runs must
+        // not perform an extra scheduler-invisible shared read).
+        if constexpr (!Versioned && !Policy::Traced)
           VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
-        Val = Policy::readValue(Curr->Val, Curr);
         ++Hops;
+        const SetKey Val = readVal(Curr);
+        Node *Succ = nullptr;
+        if constexpr (Versioned) {
+          Succ = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                              MemField::Next);
+          if (!Domain.validAt(Curr, G.version()))
+            break; // Recycled under us: restart from the head.
+        }
+        const auto Mark = [&] {
+          const bool Marked = Policy::read(
+              Curr->Marked, std::memory_order_acquire, Curr, MemField::Marked);
+          // Certify the mark read too: it happened after the check above
+          // and the block may have been recycled in between.
+          if constexpr (Versioned)
+            Recycled = !Domain.validAt(Curr, G.version());
+          return Marked;
+        };
+        const bool Stop = Visit(Val, Mark);
+        if (Recycled)
+          break;
+        if (Stop) {
+          stats::noteTraversal(Hops);
+          return {Prev, Curr, Val};
+        }
+        Prev = Curr;
+        if constexpr (Versioned)
+          Curr = Succ;
+        else
+          Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                              MemField::Next);
       }
+      // Only a VBR birth reject leaves the hop loop.
       stats::noteTraversal(Hops);
-      return {Prev, Curr, Val};
+      if constexpr (Versioned)
+        G.refresh();
+      Policy::onRestart();
     }
   }
 

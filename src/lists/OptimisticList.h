@@ -130,12 +130,11 @@ public:
   bool contains(SetKey Key) const {
     VBL_ASSERT(isUserKey(Key), "sentinel keys are reserved");
     typename Reclaim::Guard G(Domain);
-    auto *Self = const_cast<OptimisticList *>(this);
     for (;;) {
-      auto [Prev, Curr] = Self->traverse(Key);
+      auto [Prev, Curr] = traverse(Key);
       Policy::lockAcquire(Prev->NodeLock, Prev);
       Policy::lockAcquire(Curr->NodeLock, Curr);
-      if (!Self->validate(Prev, Curr)) {
+      if (!validate(Prev, Curr)) {
         Policy::lockRelease(Curr->NodeLock, Curr);
         Policy::lockRelease(Prev->NodeLock, Prev);
         Policy::onRestart();
@@ -160,21 +159,13 @@ public:
       return 0;
     typename Reclaim::Guard G(Domain);
     const size_t Entry = Out.size();
-    const Node *Curr = Policy::read(Head->Next, std::memory_order_acquire,
-                                    Head, MemField::Next);
-    SetKey Val = Policy::readValue(Curr->Val, Curr);
-    uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-    while (Val <= Hi) {
+    walk([&](SetKey Val) {
+      if (Val > Hi)
+        return true; // The tail sentinel stops every walk.
       if (Val >= Lo)
         Out.push_back(Val);
-      Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                          MemField::Next);
-      if constexpr (!Policy::Traced)
-        VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
-      Val = Policy::readValue(Curr->Val, Curr);
-      ++Hops;
-    }
-    stats::noteTraversal(Hops);
+      return false;
+    });
     return Out.size() - Entry;
   }
 
@@ -203,23 +194,34 @@ private:
     LockT NodeLock;
   };
 
-  std::pair<Node *, Node *> traverse(SetKey Key) {
+  /// The update traversal: (prev, curr) with prev.val < Key <= curr.val.
+  std::pair<Node *, Node *> traverse(SetKey Key) const {
+    return walk([Key](SetKey Val) { return Val >= Key; });
+  }
+
+  /// The list's one hop loop: follows next pointers from the head,
+  /// reading each node's key, until \p Stop accepts one (Stop sees every
+  /// key in list order and may collect it). Returns (prev, curr) for
+  /// that node. No locks, no validation: those come after, under locks.
+  template <class StopFn> std::pair<Node *, Node *> walk(StopFn Stop) const {
     Node *Prev = Head;
     Node *Curr = Policy::read(Prev->Next, std::memory_order_acquire, Prev,
                               MemField::Next);
-    uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-    while (Policy::readValue(Curr->Val, Curr) < Key) {
-      Prev = Curr;
-      Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                          MemField::Next);
+    uint64_t Hops = 0; // One per next pointer followed; one stats call.
+    for (;;) {
       // Pull the successor's line while this node's key is compared
       // (direct mode only; traced runs take no invisible shared reads).
       if constexpr (!Policy::Traced)
         VBL_PREFETCH(Curr->Next.load(std::memory_order_relaxed));
       ++Hops;
+      if (Stop(Policy::readValue(Curr->Val, Curr))) {
+        stats::noteTraversal(Hops);
+        return {Prev, Curr};
+      }
+      Prev = Curr;
+      Curr = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                          MemField::Next);
     }
-    stats::noteTraversal(Hops);
-    return {Prev, Curr};
   }
 
   /// Re-traverses from the head to prove (prev, curr) is still a live

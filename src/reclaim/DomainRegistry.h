@@ -20,11 +20,19 @@
 /// The global mutex is taken only on attach, detach, domain construction
 /// and destruction — never on the guard fast path.
 ///
+/// attachThreadRecord() is the one attach path every such domain runs:
+/// an inline one-entry cache hit (a load and a compare), and an
+/// out-of-line slow path that looks the thread's record up in the
+/// registry or claims a free slot for it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VBL_RECLAIM_DOMAINREGISTRY_H
 #define VBL_RECLAIM_DOMAINREGISTRY_H
 
+#include "support/Compiler.h"
+
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_set>
@@ -120,6 +128,66 @@ inline void rememberThreadRecord(uint64_t DomainId, void *Domain,
     });
   }
   Entries.push_back({DomainId, Domain, Record, Detach});
+}
+
+namespace detail {
+
+/// This thread's most recent (domain, record) pair, one per record type
+/// (hence per domain type): nearly every workload touches one domain of
+/// a type at a time. Domain ids start at 1, so the empty cache never
+/// matches.
+template <class RecordT> struct AttachCache {
+  static inline thread_local uint64_t DomainId = 0;
+  static inline thread_local RecordT *Record = nullptr;
+};
+
+/// attachThreadRecord's miss path: the registry lookup, else a slot
+/// claim (raising \p HighWater, when the domain keeps one, so scans see
+/// the slot), then a cache refill.
+template <class RecordT>
+VBL_NOINLINE RecordT *attachThreadRecordSlow(uint64_t DomainId,
+                                             void *Domain, DetachFn Detach,
+                                             std::vector<RecordT> &Records,
+                                             std::atomic<uint32_t> *HighWater) {
+  auto *Record = static_cast<RecordT *>(findThreadRecord(DomainId));
+  for (uint32_t I = 0; !Record && I != Records.size(); ++I) {
+    bool Expected = false;
+    if (!Records[I].InUse.compare_exchange_strong(Expected, true,
+                                                  std::memory_order_acq_rel))
+      continue;
+    if (HighWater) {
+      uint32_t HW = HighWater->load(std::memory_order_relaxed);
+      while (HW < I + 1 && !HighWater->compare_exchange_weak(
+                               HW, I + 1, std::memory_order_acq_rel)) {
+      }
+    }
+    Record = &Records[I];
+    rememberThreadRecord(DomainId, Domain, Record, Detach);
+  }
+  if (!Record)
+    vbl_unreachable("reclamation domain: more than MaxThreads concurrent "
+                    "threads");
+  AttachCache<RecordT>::DomainId = DomainId;
+  AttachCache<RecordT>::Record = Record;
+  return Record;
+}
+
+} // namespace detail
+
+/// This thread's record in the domain \p DomainId (\p Domain itself),
+/// claiming a free one of \p Records (each with an atomic<bool> InUse
+/// flag) on the thread's first attach; \p Detach hands it back at
+/// thread exit. The cache hit is inline; everything else is out of line.
+template <class RecordT>
+VBL_ALWAYS_INLINE RecordT *
+attachThreadRecord(uint64_t DomainId, void *Domain, DetachFn Detach,
+                   std::vector<RecordT> &Records,
+                   std::atomic<uint32_t> *HighWater) {
+  using Cache = detail::AttachCache<RecordT>;
+  if (VBL_LIKELY(Cache::DomainId == DomainId))
+    return Cache::Record;
+  return detail::attachThreadRecordSlow(DomainId, Domain, Detach, Records,
+                                        HighWater);
 }
 
 } // namespace reclaim

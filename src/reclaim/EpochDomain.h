@@ -200,39 +200,9 @@ private:
     std::vector<RetiredPtr> RetireList;
   };
 
-  ThreadRecord *attachCurrentThread() {
-    // Fast path: per-(thread, domain) record cached in the TLS registry,
-    // with a one-entry inline cache in front since nearly every workload
-    // touches one domain at a time.
-    thread_local uint64_t CachedDomainId = 0;
-    thread_local ThreadRecord *CachedRecord = nullptr;
-    if (CachedDomainId == DomainId)
-      return CachedRecord;
-
-    if (void *Known = findThreadRecord(DomainId)) {
-      CachedDomainId = DomainId;
-      CachedRecord = static_cast<ThreadRecord *>(Known);
-      return CachedRecord;
-    }
-
-    // Slow path: claim a free slot.
-    for (uint32_t I = 0; I != MaxThreads; ++I) {
-      ThreadRecord &Record = Records[I];
-      bool Expected = false;
-      if (!Record.InUse.compare_exchange_strong(Expected, true,
-                                                std::memory_order_acq_rel))
-        continue;
-      // Raise the scan high-water mark so epoch advancing sees this slot.
-      uint32_t HW = HighWater.load(std::memory_order_relaxed);
-      while (HW < I + 1 && !HighWater.compare_exchange_weak(
-                               HW, I + 1, std::memory_order_acq_rel)) {
-      }
-      rememberThreadRecord(DomainId, this, &Record, &detachTrampoline);
-      CachedDomainId = DomainId;
-      CachedRecord = &Record;
-      return &Record;
-    }
-    vbl_unreachable("EpochDomain: more than MaxThreads concurrent threads");
+  VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
+    return attachThreadRecord(DomainId, this, &detachTrampoline, Records,
+                              &HighWater);
   }
 
   static void detachTrampoline(void *Domain, void *Record) {

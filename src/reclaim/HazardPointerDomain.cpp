@@ -7,7 +7,6 @@
 
 #include "reclaim/HazardPointerDomain.h"
 
-#include "reclaim/DomainRegistry.h"
 #include "stats/Stats.h"
 
 #include <algorithm>
@@ -39,37 +38,6 @@ HazardPointerDomain::~HazardPointerDomain() {
               uint64_t(0) - Orphans.size());
   Orphans.clear();
   OrphanCount.store(0, std::memory_order_release);
-}
-
-HazardPointerDomain::ThreadRecord *
-HazardPointerDomain::attachCurrentThread() {
-  thread_local uint64_t CachedDomainId = 0;
-  thread_local ThreadRecord *CachedRecord = nullptr;
-  if (CachedDomainId == DomainId)
-    return CachedRecord;
-
-  if (void *Known = findThreadRecord(DomainId)) {
-    CachedDomainId = DomainId;
-    CachedRecord = static_cast<ThreadRecord *>(Known);
-    return CachedRecord;
-  }
-
-  for (uint32_t I = 0; I != MaxThreads; ++I) {
-    ThreadRecord &Record = Records[I];
-    bool Expected = false;
-    if (!Record.InUse.compare_exchange_strong(Expected, true,
-                                              std::memory_order_acq_rel))
-      continue;
-    uint32_t HW = HighWater.load(std::memory_order_relaxed);
-    while (HW < I + 1 && !HighWater.compare_exchange_weak(
-                             HW, I + 1, std::memory_order_acq_rel)) {
-    }
-    rememberThreadRecord(DomainId, this, &Record, &detachTrampoline);
-    CachedDomainId = DomainId;
-    CachedRecord = &Record;
-    return &Record;
-  }
-  vbl_unreachable("HazardPointerDomain: too many concurrent threads");
 }
 
 void HazardPointerDomain::detachTrampoline(void *Domain, void *Record) {

@@ -32,6 +32,7 @@
 #ifndef VBL_RECLAIM_HAZARDPOINTERDOMAIN_H
 #define VBL_RECLAIM_HAZARDPOINTERDOMAIN_H
 
+#include "reclaim/DomainRegistry.h"
 #include "support/Compiler.h"
 
 #include <atomic>
@@ -105,7 +106,10 @@ private:
     size_t NextScanAt = 0;
   };
 
-  ThreadRecord *attachCurrentThread();
+  VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
+    return attachThreadRecord(DomainId, this, &detachTrampoline, Records,
+                              &HighWater);
+  }
   static void detachTrampoline(void *Domain, void *Record);
   void detach(ThreadRecord *Record);
   /// Scans hazards and frees unprotected entries of \p List; returns how

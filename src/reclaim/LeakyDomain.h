@@ -6,28 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The "no memory management" domain: retire() leaks. This reproduces the
-/// paper's own C++ translations, which the technical report evaluates
-/// *without* memory management, and serves as the zero-overhead baseline
-/// in the reclamation benchmark. Unlinked nodes stay allocated forever,
-/// which also makes wait-free traversals trivially safe.
+/// The "no memory management" domain: nothing retired is freed while the
+/// domain lives. This reproduces the paper's own C++ translations, which
+/// the technical report evaluates *without* memory management, and
+/// serves as the zero-overhead baseline in the reclamation benchmark.
+/// Unlinked nodes stay allocated until the structure is destroyed, which
+/// also makes wait-free traversals trivially safe.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VBL_RECLAIM_LEAKYDOMAIN_H
 #define VBL_RECLAIM_LEAKYDOMAIN_H
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 namespace vbl {
 namespace reclaim {
 
-/// Satisfies the same Reclaimer shape as EpochDomain but never frees.
-/// The destructor does not free retired nodes either: a leaked node may
-/// still be referenced through another leaked node's next pointer, so
-/// freeing at destruction would require tracing. Tests that care about
-/// leaks use TrackingDomain instead.
+/// Satisfies the same Reclaimer shape as EpochDomain but never frees
+/// during its lifetime: retire() only logs the retiree, and the
+/// destructor runs every logged deleter, as EpochDomain's destructor
+/// does for its pending list. Freeing a retiree never follows its
+/// pointers, so no tracing is needed even though a retired node may
+/// still point at another one. Tests that count frees use
+/// TrackingDomain instead.
 class LeakyDomain {
 public:
   class Guard {
@@ -37,23 +42,86 @@ public:
     Guard &operator=(const Guard &) = delete;
   };
 
-  template <class T> void retire(T * /*Ptr*/) {
-    RetiredCount.fetch_add(1, std::memory_order_relaxed);
+  LeakyDomain() = default;
+  LeakyDomain(const LeakyDomain &) = delete;
+  LeakyDomain &operator=(const LeakyDomain &) = delete;
+
+  ~LeakyDomain() {
+    Block *B = Newest.load(std::memory_order_acquire);
+    while (B) {
+      for (size_t I = 0, E = logged(B); I != E; ++I)
+        B->Entries[I].Deleter(B->Entries[I].Ptr);
+      Block *Older = B->Older;
+      delete B;
+      B = Older;
+    }
   }
 
-  void retireRaw(void *, void (*)(void *)) {
-    RetiredCount.fetch_add(1, std::memory_order_relaxed);
+  template <class T> void retire(T *Ptr) {
+    retireRaw(Ptr, [](void *P) { delete static_cast<T *>(P); });
+  }
+
+  /// Logs \p Ptr for the destructor. Lock-free, as befits the
+  /// no-reclamation baseline: one fetch_add on the newest block's
+  /// cursor, plus a block allocation every Block::Capacity retirees.
+  void retireRaw(void *Ptr, void (*Deleter)(void *)) {
+    Block *B = Newest.load(std::memory_order_acquire);
+    for (;;) {
+      if (B) {
+        const size_t I = B->Used.fetch_add(1, std::memory_order_relaxed);
+        if (I < Block::Capacity) {
+          B->Entries[I] = {Ptr, Deleter};
+          return;
+        }
+      }
+      // B is full (or there is none yet): push a fresh block that
+      // already holds this retiree. A lost race adopts the winner's.
+      Block *Fresh = new Block;
+      Fresh->Older = B;
+      Fresh->Used.store(1, std::memory_order_relaxed);
+      Fresh->Entries[0] = {Ptr, Deleter};
+      if (Newest.compare_exchange_strong(B, Fresh,
+                                         std::memory_order_acq_rel))
+        return;
+      delete Fresh;
+    }
   }
 
   void collectAll() {}
 
   uint64_t retiredCount() const {
-    return RetiredCount.load(std::memory_order_relaxed);
+    uint64_t Count = 0;
+    for (const Block *B = Newest.load(std::memory_order_acquire); B;
+         B = B->Older)
+      Count += logged(B);
+    return Count;
   }
   uint64_t freedCount() const { return 0; }
 
 private:
-  std::atomic<uint64_t> RetiredCount{0};
+  struct Retiree {
+    void *Ptr;
+    void (*Deleter)(void *);
+  };
+
+  /// One 4 KiB page of the retire log.
+  struct Block {
+    static constexpr size_t Capacity =
+        (4096 - sizeof(std::atomic<size_t>) - sizeof(Block *)) /
+        sizeof(Retiree);
+    /// Slots claimed so far; runs past Capacity while a full block is
+    /// being replaced.
+    std::atomic<size_t> Used{0};
+    Block *Older = nullptr;
+    Retiree Entries[Capacity];
+  };
+
+  static size_t logged(const Block *B) {
+    return std::min(B->Used.load(std::memory_order_relaxed),
+                    Block::Capacity);
+  }
+
+  std::atomic<Block *> Newest{nullptr};
 };
 
 } // namespace reclaim

@@ -445,32 +445,9 @@ private:
     }
   }
 
-  ThreadRecord *attachCurrentThread() {
-    // Fast path: per-(thread, domain) record cached in the TLS registry,
-    // with a one-entry inline cache in front (see BasicEpochDomain).
-    thread_local uint64_t CachedDomainId = 0;
-    thread_local ThreadRecord *CachedRecord = nullptr;
-    if (CachedDomainId == DomainId)
-      return CachedRecord;
-
-    if (void *Known = findThreadRecord(DomainId)) {
-      CachedDomainId = DomainId;
-      CachedRecord = static_cast<ThreadRecord *>(Known);
-      return CachedRecord;
-    }
-
-    for (uint32_t I = 0; I != MaxThreads; ++I) {
-      ThreadRecord &Record = Records[I];
-      bool Expected = false;
-      if (!Record.InUse.compare_exchange_strong(Expected, true,
-                                                std::memory_order_acq_rel))
-        continue;
-      rememberThreadRecord(DomainId, this, &Record, &detachTrampoline);
-      CachedDomainId = DomainId;
-      CachedRecord = &Record;
-      return &Record;
-    }
-    vbl_unreachable("VbrDomain: more than MaxThreads concurrent threads");
+  VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
+    return attachThreadRecord(DomainId, this, &detachTrampoline, Records,
+                              nullptr);
   }
 
   static void detachTrampoline(void *Domain, void *Record) {

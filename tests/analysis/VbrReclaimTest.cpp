@@ -38,6 +38,7 @@
 #include "reclaim/VbrDomain.h"
 #include "sched/AnalyzedPolicy.h"
 #include "sched/InterleavingExplorer.h"
+#include "sched/StepScheduler.h"
 #include "stats/Stats.h"
 
 #include "sched/ScenarioCorpus.h"
@@ -243,6 +244,60 @@ TEST(VbrReclaimTest, ChunkListVbrIsFlowClean) {
 TEST(VbrReclaimTest, VblListVbrSharedCorpusFlowClean) {
   expectFlowClean<VblList<TracedVbrDomain, TracedPolicy>>("VblList+VBR",
                                                           scenarios());
+}
+
+/// vbr_scan_vs_revival driven into its restart: the scan reads node
+/// 4's key and next, remove(4); insert(4) then revives that very block,
+/// and the scan's birth check rejects it. The scan has collected 2 by
+/// then; the corpus's scan-output check (ScenarioCorpus.h) fails the
+/// test if the restart keeps that partial collect.
+template <class ListT> void expectScanRestartDiscardsCollect() {
+  Scenario S;
+  for (const Scenario &Candidate : vbrScenarios())
+    if (Candidate.Name == "vbr_scan_vs_revival")
+      S = Candidate;
+  ASSERT_EQ(S.Name, "vbr_scan_vs_revival");
+  auto List = std::make_shared<ListT>();
+  Episode Ep = factoryForWith(S, [List] { return List; })();
+  StepScheduler Sched(Ep.Bodies);
+  // The scan (thread 1) reads node 4's key, then its next word; its
+  // birth check on node 4 is the next step.
+  const void *Node4 = nullptr;
+  for (int I = 0; I != 300 && Sched.runnable(1); ++I) {
+    Sched.step(1);
+    bool ReadNext = false;
+    for (const Event &E : Sched.trace()) {
+      if (E.Thread != 1 || E.Kind != EventKind::Read)
+        continue;
+      if (E.Field == MemField::Val && E.Value == 4)
+        Node4 = E.Node;
+      ReadNext |= Node4 && E.Field == MemField::Next && E.Node == Node4;
+    }
+    if (ReadNext)
+      break;
+  }
+  ASSERT_NE(Node4, nullptr);
+  // remove(4); insert(4) runs to completion and revives the block.
+  while (Sched.runnable(0))
+    Sched.step(0);
+  ASSERT_TRUE(Sched.finished(0));
+  EXPECT_GT(List->reclaimDomain().reusedCount(), 0u);
+  while (Sched.runnable(1))
+    Sched.step(1);
+  ASSERT_TRUE(Sched.finished(1));
+  bool Restarted = false;
+  for (const Event &E : Sched.trace())
+    Restarted |= E.Thread == 1 && E.Kind == EventKind::Restart;
+  EXPECT_TRUE(Restarted) << Sched.schedule().toString();
+}
+
+TEST(VbrReclaimTest, VblListScanRestartDiscardsPartialCollect) {
+  expectScanRestartDiscardsCollect<VblList<TracedVbrDomain, TracedPolicy>>();
+}
+
+TEST(VbrReclaimTest, LazyListScanRestartDiscardsPartialCollect) {
+  expectScanRestartDiscardsCollect<
+      LazyList<TracedVbrDomain, TracedPolicy>>();
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,6 +62,10 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
   // Scans are recorded per thread (no synchronization, like ThreadLog)
   // and lowered to per-key Contains observations after the join.
   std::vector<std::vector<CompletedScan>> ScanLogs(NumThreads);
+  // What was wrong with a scan's own output (duplicates, keys outside
+  // the window, a count that disagrees), per thread, checked after the
+  // join: the per-key lowering below cannot see any of it.
+  std::vector<std::vector<std::string>> ScanErrors(NumThreads);
   SpinBarrier Barrier(NumThreads);
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != NumThreads; ++T) {
@@ -79,8 +84,12 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
           Scan.Hi = Hi;
           Scan.Thread = T;
           Scan.Invoke = fencedStamp();
-          Set->rangeQuery(Key, Hi, Scan.Keys);
+          const size_t Returned = Set->rangeQuery(Key, Hi, Scan.Keys);
           Scan.Response = fencedStamp();
+          if (std::string Error =
+                  scanOutputError(Key, Hi, Scan.Keys, Returned);
+              !Error.empty())
+            ScanErrors[T].push_back(std::move(Error));
           ScanLogs[T].push_back(std::move(Scan));
           continue;
         }
@@ -117,6 +126,9 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
         AllScans.push_back(std::move(Scan));
     }
     EXPECT_GT(ScanCount, 0u) << Algo << ": scan mix produced no scans";
+    for (const std::vector<std::string> &Mine : ScanErrors)
+      for (const std::string &Error : Mine)
+        ADD_FAILURE() << Algo << ": " << Error;
     std::vector<SetKey> Universe;
     for (SetKey Key = 0; Key != KeyRange; ++Key)
       Universe.push_back(Key);

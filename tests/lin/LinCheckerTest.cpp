@@ -340,6 +340,34 @@ TEST(LinChecker, ScanTornWindowRejected) {
   EXPECT_TRUE(checkSetHistory(H, {2, 6}).Ok);
 }
 
+TEST(LinChecker, ScanOutputDuplicateRejected) {
+  // A scan over [1, 9] of initial {2, 6} that reported 2 twice, as a
+  // restart that kept its partial collect would. The per-key lowering
+  // reads the keys through a set, so the history passes it; the output
+  // check is what refuses it.
+  CompletedScan Scan;
+  Scan.Lo = 1;
+  Scan.Hi = 9;
+  Scan.Keys = {2, 2, 6};
+  Scan.Invoke = 10;
+  Scan.Response = 20;
+  Scan.Thread = 0;
+  std::vector<CompletedOp> H;
+  for (CompletedOp &O : decomposeScans({Scan}, {2, 6}))
+    H.push_back(O);
+  EXPECT_TRUE(checkSetHistory(H, {2, 6}).Ok);
+  EXPECT_NE(scanOutputError(Scan.Lo, Scan.Hi, Scan.Keys, 3), "");
+
+  // The well-formed output passes; so does an empty one.
+  EXPECT_EQ(scanOutputError(1, 9, {2, 6}, 2), "");
+  EXPECT_EQ(scanOutputError(1, 9, {}, 0), "");
+  // Descending, outside the window, or a count that disagrees: refused.
+  EXPECT_NE(scanOutputError(1, 9, {6, 2}, 2), "");
+  EXPECT_NE(scanOutputError(1, 9, {0, 2}, 2), "");
+  EXPECT_NE(scanOutputError(1, 9, {2, 10}, 2), "");
+  EXPECT_NE(scanOutputError(1, 9, {2, 6}, 3), "");
+}
+
 TEST(LinChecker, RawRangeQueryRecordRejected) {
   // A RangeQuery record that bypassed decomposeScans must fail the
   // check loudly rather than be misinterpreted.

@@ -18,8 +18,11 @@
 #ifndef VBL_TESTS_SCHED_SCENARIOCORPUS_H
 #define VBL_TESTS_SCHED_SCENARIOCORPUS_H
 
+#include "lin/LinChecker.h"
 #include "sched/InterleavingExplorer.h"
 #include "sched/TracedPolicy.h"
+
+#include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
@@ -268,12 +271,20 @@ EpisodeFactory factoryForWith(const Scenario &S, MakeFn Make) {
           case SetOp::RangeQuery:
             // Mutant fixtures (RacyList, ForgetfulList, ...) have no
             // scan; point-op scenarios drive them, so skip is safe.
+            // The explorer checks a scan by the values it read, so the
+            // keys it returned are checked here: a restart that kept
+            // its partial collect shows only in them.
             if constexpr (requires(std::vector<SetKey> &Out) {
                             List->rangeQuery(Key, KeyHi, Out);
                           })
               tracedRangeOp(Key, KeyHi, [&] {
                 std::vector<SetKey> Keys;
-                return List->rangeQuery(Key, KeyHi, Keys);
+                const size_t Returned = List->rangeQuery(Key, KeyHi, Keys);
+                if (std::string Error = lin::scanOutputError(
+                        Key, KeyHi, Keys, Returned);
+                    !Error.empty())
+                  ADD_FAILURE() << Error;
+                return Returned;
               });
             break;
           }

@@ -26,6 +26,7 @@
 #include "lists/LazyList.h"
 #include "lists/SequentialList.h"
 #include "reclaim/LeakyDomain.h"
+#include "reclaim/VbrDomain.h"
 #include "sched/InterleavingExplorer.h"
 #include "sched/ScheduleChecker.h"
 #include "sched/ScheduleExport.h"
@@ -319,4 +320,59 @@ TEST(Fig3, LazyLocksEvenWhenFailingInserts) {
   for (const Event &E : Result.Raw.events())
     SawLock |= E.Kind == EventKind::LockAcquire;
   EXPECT_TRUE(SawLock);
+}
+
+namespace {
+
+/// Runs contains (present and absent) and a rangeQuery on one thread
+/// over a list holding {2, 6} after 4 was removed, and returns the
+/// raw trace.
+template <class ListT> Schedule traceValueReads() {
+  InterleavingExplorer Explorer([]() -> Episode {
+    auto List = std::make_shared<ListT>();
+    for (SetKey Key : {2, 4, 6})
+      List->insert(Key);
+    List->remove(4);
+    Episode Ep;
+    Ep.HeadNode = List->headNode();
+    Ep.InitialChain = List->nodeChain();
+    Ep.Holder = List;
+    Ep.Bodies.push_back(std::function<void()>([List] {
+      tracedOp(SetOp::Contains, 4, [&] { return List->contains(4); });
+      tracedOp(SetOp::Contains, 6, [&] { return List->contains(6); });
+      tracedRangeOp(1, 7, [&] {
+        std::vector<SetKey> Keys;
+        return List->rangeQuery(1, 7, Keys);
+      });
+    }));
+    return Ep;
+  });
+  return Explorer.run({}).Raw;
+}
+
+/// The paper's value-based read path: VBL's contains and rangeQuery
+/// read keys and next pointers only, never a deletion mark or a lock.
+/// Version-based reclamation adds birth checks, and nothing else.
+template <class ListT> void expectValueOnlyReads(const char *Name) {
+  const Schedule Trace = traceValueReads<ListT>();
+  size_t ValReads = 0;
+  for (const Event &E : Trace.events()) {
+    ValReads += E.Kind == EventKind::Read && E.Field == MemField::Val;
+    EXPECT_NE(E.Field, MemField::Marked) << Name << "\n" << Trace.toString();
+    EXPECT_NE(E.Field, MemField::Lock) << Name << "\n" << Trace.toString();
+  }
+  // Vacuity: both contains and the scan really walked the list.
+  EXPECT_GE(ValReads, 6u) << Name << "\n" << Trace.toString();
+}
+
+} // namespace
+
+TEST(ValueBasedReads, VblLeakyReadsNoMarkAndNoLock) {
+  expectValueOnlyReads<TracedVbl>("VblList+leaky");
+}
+
+TEST(ValueBasedReads, VblVbrReadsNoMarkAndNoLock) {
+  expectValueOnlyReads<
+      VblList<reclaim::BasicVbrDomain<TracedPolicy>, TracedPolicy>>(
+      "VblList+VBR");
 }
