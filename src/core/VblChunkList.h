@@ -56,25 +56,18 @@
 ///
 /// Template knobs: ChunkKeys (1 recovers a flat VBL-like list and is
 /// the bench ablation baseline; 7 fills one 64-byte key line; 15 two),
-/// ReclaimT and PolicyT exactly as in VblList, and Adaptive.
+/// and ReclaimT and PolicyT exactly as in VblList.
 ///
-/// Adaptive chunking (Adaptive = true): the compile-time K becomes an
-/// upper bound and the list reshapes online from two stats-layer
-/// signals. Contention (the events behind chunk.validation_aborts) is
-/// tracked per chunk in a Heat counter; a hot chunk is split at the
-/// median even when its keys would fit one chunk, so the keys that
-/// contend land behind different locks (small effective K where writers
-/// collide). Occupancy (the hist.chunk_occupancy signal, sampled on
-/// every structural-path lock acquisition) drives the opposite move: a
-/// cold half-empty chunk is merged with its successor when the union
-/// fits, restoring large effective K on read-mostly runs. Both moves
-/// piggyback on the existing freeze-and-replace protocol — lock in
-/// list order, mark the victim(s), swing the predecessor's link, retire
-/// through the domain — so no new protocol states exist; a merge simply
-/// freezes two adjacent chunks (both marked before the one swing)
-/// instead of one. Replacement chunks start cold (Heat = 0), which is
-/// also the hysteresis: a chunk must re-earn its heat before it splits
-/// again, and a merge is refused while the chunk is hot.
+/// Shape policy, the same for every instantiation: an insert into a
+/// chunk with no clean slot compacts it (when its live keys plus the
+/// new one fit) or splits it at the median; a remove that empties a
+/// chunk unlinks it; and a remove that leaves a chunk a quarter full or
+/// holding one key merges it with its successor when the union fits
+/// (tryMergeWithNext), so sparse runs drift back toward dense key
+/// lines. Every move is the same freeze-and-replace step — lock in list
+/// order, mark the victim(s), swing the predecessor's link, retire
+/// through the domain — and a merge simply freezes two adjacent chunks
+/// (both marked before the one swing) instead of one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,10 +97,10 @@
 namespace vbl {
 
 template <unsigned ChunkKeys = 7, class ReclaimT = reclaim::EpochDomain,
-          class PolicyT = DirectPolicy, bool Adaptive = false>
+          class PolicyT = DirectPolicy>
 class VblChunkList
     : public analysis::QuiescentChain<
-          VblChunkList<ChunkKeys, ReclaimT, PolicyT, Adaptive>> {
+          VblChunkList<ChunkKeys, ReclaimT, PolicyT>> {
   static_assert(ChunkKeys >= 1 && ChunkKeys <= 63,
                 "the occupancy bitmap is one 64-bit word");
 
@@ -138,12 +131,6 @@ class VblChunkList
     /// write-once: written before their Occ bit is published, never
     /// rewritten. Mutated only under Lock.
     std::atomic<uint32_t> FirstClean{0};
-    /// Contention estimate for adaptive reshaping: bumped (lossy,
-    /// single CAS attempt) when an operation's lock-held validation of
-    /// this chunk aborts. Advisory only — never part of a correctness
-    /// decision — and reset to zero on VBR revival. Unused (always 0)
-    /// when Adaptive is off; it shares the header padding either way.
-    std::atomic<uint32_t> Heat{0};
     /// Occupancy bitmap: bit i published (release) after Keys[i] is
     /// written, cleared (release) by remove. The one word unlocked
     /// scans snapshot.
@@ -164,14 +151,6 @@ public:
   using Policy = PolicyT;
 
   static constexpr unsigned KeysPerChunk = ChunkKeys;
-  /// True when this instantiation reshapes chunks online (hot splits,
-  /// cold merges); exposed so tests and describe strings can branch.
-  static constexpr bool AdaptiveShapes = Adaptive;
-  /// Heat at which a chunk is considered contended: structural inserts
-  /// split it at the median even when the keys would fit one chunk, and
-  /// merges refuse it. Validation aborts are rare in healthy schedules,
-  /// so a small absolute count already marks a genuine hot spot.
-  static constexpr uint32_t HotSplitThreshold = 4;
   /// Exposed so the NodePool tests can assert the size-class mapping of
   /// real chunk shapes without re-deriving the layout.
   static constexpr size_t ChunkBytes = sizeof(Chunk);
@@ -307,7 +286,11 @@ public:
             Policy::read(C->Occ, std::memory_order_acquire, &C->Occ,
                          MemField::Marked);
         const size_t Base = Out.size();
-        collectInRange(C, Occ, Lo, Hi, Out);
+        forEachSlot<false>(C, Occ, [&](SetKey K) {
+          if (K >= Lo && K <= Hi)
+            Out.push_back(K);
+          return false;
+        });
         const Chunk *Next = Policy::read(C->Next,
                                          std::memory_order_acquire, C,
                                          MemField::Next);
@@ -461,73 +444,62 @@ private:
   /// Anchor of Curr's successor at the reads. When the walk advances,
   /// Pred->Next was observed == Curr; when it does not, Pred is
   /// From.Pred. Pred is null exactly when Curr is the head sentinel
-  /// (Key is below every anchor). Wait-free in the non-versioned
-  /// domains: anchors are immutable and the walk only follows Next
-  /// pointers forward. Under VBR (always from the head) every hop reads
-  /// the candidate's anchor and next pointer FIRST and certifies its
-  /// birth epoch AFTER — a revival publishes the new birth before any
-  /// new field value, so a passing check retroactively validates both
-  /// reads — and a stale incarnation restarts the walk from the
-  /// never-retired head with a refreshed version.
-  Cursor route(SetKey Key, Cursor From, typename Reclaim::Guard &G) const {
-    if constexpr (Versioned) {
+  /// (Key is below every anchor). The list's one hop loop: wait-free in
+  /// the non-versioned domains, where anchors are immutable and the
+  /// walk only follows Next pointers forward.
+  ///
+  /// VBR mode (always from the head): every hop reads the candidate's
+  /// anchor and next pointer FIRST and certifies its birth epoch AFTER
+  /// — a revival publishes the new birth before any new field value, so
+  /// a passing check retroactively validates both reads — and a stale
+  /// incarnation restarts the walk from the never-retired head with a
+  /// refreshed version.
+  Cursor route(SetKey Key, Cursor From,
+               [[maybe_unused]] typename Reclaim::Guard &G) const {
+    if constexpr (Versioned)
       VBL_ASSERT(From.Curr == Head, "VBR routes start at the head");
-      (void)From;
-      for (;;) {
-        Chunk *Pred = nullptr;
-        Chunk *Curr = Head;
-        Chunk *Next = Policy::read(Curr->Next, std::memory_order_acquire,
-                                   Curr, MemField::Next);
-        uint64_t Hops = 0;
-        bool Stale = false;
-        for (;;) {
-          const SetKey A = readAnchor(Next);
-          Chunk *After = Policy::read(Next->Next, std::memory_order_acquire,
-                                      Next, MemField::Next);
-          if (!Domain.validAt(Next, G.version())) {
-            Stale = true;
-            break;
-          }
-          if (A > Key)
-            break;
-          Pred = Curr;
-          Curr = Next;
-          Next = After;
-          ++Hops;
-        }
-        stats::noteTraversal(Hops);
-        if (!Stale) {
-          if constexpr (!Policy::Traced)
-            VBL_PREFETCH(&Curr->Keys[0]);
-          return {Pred, Curr};
-        }
-        G.refresh();
-        Policy::onRestart();
-      }
-    } else {
-      (void)G;
+    for (;;) {
       auto [Pred, Curr] = From;
       Chunk *Next = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
                                  MemField::Next);
       uint64_t Hops = 0; // Accumulated locally; one stats call at the end.
-      while (Policy::readValue(Next->Anchor, Next) <= Key) {
+      for (;;) {
+        const SetKey A = readAnchor(Next);
+        Chunk *After = nullptr;
+        if constexpr (Versioned) {
+          After = Policy::read(Next->Next, std::memory_order_acquire, Next,
+                               MemField::Next);
+          if (!Domain.validAt(Next, G.version()))
+            break; // Recycled under us: restart from the head.
+        }
+        if (A > Key) {
+          // The routed chunk's key lines are about to be scanned; start
+          // the fetch under the final anchor compare.
+          if constexpr (!Policy::Traced)
+            VBL_PREFETCH(&Curr->Keys[0]);
+          stats::noteTraversal(Hops);
+          return {Pred, Curr};
+        }
         Pred = Curr;
         Curr = Next;
-        Next = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
-                            MemField::Next);
-        // Pull the chunk-after-next's header line while this anchor is
-        // compared. Direct mode only: traced runs must not perform an
-        // extra scheduler-invisible shared read.
-        if constexpr (!Policy::Traced)
-          VBL_PREFETCH(Next->Next.load(std::memory_order_relaxed));
+        if constexpr (Versioned) {
+          Next = After;
+        } else {
+          Next = Policy::read(Curr->Next, std::memory_order_acquire, Curr,
+                              MemField::Next);
+          // Pull the chunk-after-next's header line while this anchor is
+          // compared. Direct mode only: traced runs must not perform an
+          // extra scheduler-invisible shared read.
+          if constexpr (!Policy::Traced)
+            VBL_PREFETCH(Next->Next.load(std::memory_order_relaxed));
+        }
         ++Hops;
       }
-      // The routed chunk's key lines are about to be scanned; start the
-      // fetch under the final anchor compare.
-      if constexpr (!Policy::Traced)
-        VBL_PREFETCH(&Curr->Keys[0]);
+      // Only a VBR birth reject leaves the hop loop.
       stats::noteTraversal(Hops);
-      return {Pred, Curr};
+      if constexpr (Versioned)
+        G.refresh();
+      Policy::onRestart();
     }
   }
 
@@ -554,73 +526,10 @@ private:
         Policy::onRestart();
         continue;
       }
-      // Optimistic phase: version probe first so the scan can double as
-      // the lock's validation (ChunkLock fast path), then liveness,
-      // then the data decision.
-      const uint64_t Seen =
-          Curr->Lock.template optimisticVersion<Policy>(Curr);
-      if (Policy::read(Curr->Marked, std::memory_order_acquire, Curr,
-                       MemField::Marked)) {
-        Policy::onRestart();
-        continue;
-      }
-      const uint64_t Occ = Policy::read(
-          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
-      const int Found = scanFor(Curr, Occ, Key);
-      if constexpr (Versioned) {
-        // The Marked/Occ/slot reads above may be of a revived block: the
-        // lock's version fast path cannot catch cross-incarnation reuse
-        // on its own (the freelist round trip performs no lock traffic),
-        // so certify the incarnation before trusting the scan or handing
-        // Seen to the fast path.
-        if (!Domain.validAt(Curr, G.version())) {
-          G.refresh();
-          Policy::onRestart();
-          continue;
-        }
-      }
-      if (Found >= 0)
-        return false; // Present: decided from data alone, no lock taken.
-      if constexpr (Adaptive) {
-        // A contended chunk skips the single-lock fast path: the
-        // structural path splits it at the median so the colliding keys
-        // end up behind different locks (small effective K where it
-        // hurts). The replacement halves start cold.
-        if (heatOf(Curr) >= HotSplitThreshold) {
-          const int Out = structuralInsert(Key, G);
-          if (Out >= 0)
-            return Out != 0;
-          Policy::onRestart();
-          continue;
-        }
-      }
-      bool FoundUnderLock = false;
-      const bool Locked = Curr->Lock.template acquireIfValidSince<Policy>(
-          Curr, Seen, [&] {
-            if (Policy::readCheck(Curr->Marked, std::memory_order_acquire,
-                                  Curr, MemField::Marked))
-              return false;
-            const uint64_t O =
-                Policy::readCheck(Curr->Occ, std::memory_order_acquire,
-                                  &Curr->Occ, MemField::Marked);
-            const int FoundHere = scanForCheck(Curr, O, Key);
-            if constexpr (Versioned) {
-              // Birth last: only a certified incarnation's scan may
-              // produce the authoritative "present" answer below.
-              if (!Domain.validAt(Curr, G.version()))
-                return false;
-            }
-            if (FoundHere >= 0) {
-              FoundUnderLock = true;
-              return false;
-            }
-            return true;
-          });
-      if (!Locked) {
-        if (FoundUnderLock)
-          return false; // Value validation decided "present" — no retry.
-        stats::bump(stats::Counter::ChunkValidationAborts);
-        noteContention(Curr);
+      Reading R;
+      if (!lockForUpdate(Curr, Key, /*Remove=*/false, R, G)) {
+        if (R.Decided)
+          return false; // Present: decided from data, nothing written.
         Policy::onRestart();
         continue;
       }
@@ -650,82 +559,30 @@ private:
       auto [Pred, Curr] = At;
       if (Curr == Head)
         return false; // Below every anchor: absent at the route's read.
-      const uint64_t Seen =
-          Curr->Lock.template optimisticVersion<Policy>(Curr);
-      // Liveness must be read between probe and acquire, exactly like
-      // insert: the lock's fast path only certifies facts observed
-      // after the probe. Without this read, a fresh probe on a chunk
-      // frozen just before it takes the fast path and clears a slot in
-      // the retired copy while the replacement keeps the key — a lost
-      // remove.
-      if (Policy::read(Curr->Marked, std::memory_order_acquire, Curr,
-                       MemField::Marked)) {
+      Reading R;
+      if (!lockForUpdate(Curr, Key, /*Remove=*/true, R, G)) {
+        if (R.Decided)
+          return false; // Absent: decided from data, nothing written.
         Policy::onRestart();
         continue;
       }
-      const uint64_t Occ = Policy::read(
-          Curr->Occ, std::memory_order_acquire, &Curr->Occ, MemField::Marked);
-      int Slot = scanFor(Curr, Occ, Key);
-      if constexpr (Versioned) {
-        // Same incarnation certification as insert: the absent answer
-        // and the probe version are only meaningful for the chunk the
-        // route certified, not a revived reuse of its block.
-        if (!Domain.validAt(Curr, G.version())) {
-          G.refresh();
-          Policy::onRestart();
-          continue;
-        }
-      }
-      if (Slot < 0)
-        return false; // Absent: decided from data alone, no lock taken.
-      bool AbsentUnderLock = false;
-      uint64_t OccHeld = Occ;
-      const bool Locked = Curr->Lock.template acquireIfValidSince<Policy>(
-          Curr, Seen, [&] {
-            if (Policy::readCheck(Curr->Marked, std::memory_order_acquire,
-                                  Curr, MemField::Marked))
-              return false;
-            OccHeld =
-                Policy::readCheck(Curr->Occ, std::memory_order_acquire,
-                                  &Curr->Occ, MemField::Marked);
-            Slot = scanForCheck(Curr, OccHeld, Key);
-            if constexpr (Versioned) {
-              // Birth last, before the scan's result is trusted.
-              if (!Domain.validAt(Curr, G.version()))
-                return false;
-            }
-            if (Slot < 0) {
-              AbsentUnderLock = true;
-              return false;
-            }
-            return true;
-          });
-      if (!Locked) {
-        if (AbsentUnderLock)
-          return false; // Live chunk covering Key lacks it: authoritative.
-        stats::bump(stats::Counter::ChunkValidationAborts);
-        noteContention(Curr);
-        Policy::onRestart();
-        continue;
-      }
-      const uint64_t NewOcc = OccHeld & ~(uint64_t{1} << Slot);
+      const uint64_t NewOcc = R.Occ & ~(uint64_t{1} << R.Slot);
       Policy::write(Curr->Occ, NewOcc, std::memory_order_release,
                     &Curr->Occ, MemField::Marked);
       Curr->Lock.template release<Policy>(Curr);
       if (NewOcc == 0) {
         tryUnlinkEmpty(Pred, Curr, G);
-      } else if constexpr (Adaptive) {
-        // Cold-compaction trigger: a quarter-full chunk (or a singleton,
-        // which is pure pointer overhead at any K) with no recent
-        // contention folds into its successor when the union fits —
-        // read-mostly sparse runs drift back toward large effective K.
+      } else if constexpr (ChunkKeys > 1) {
+        // Merge trigger (K > 1 only: at K=1 a remove always empties its
+        // chunk): a quarter-full chunk (or a singleton, which is pure
+        // pointer overhead at any K) folds into its successor when the
+        // union fits — sparse runs drift back toward large effective K.
         // Quarter, not half: split fires at full, so merging anything
         // denser re-creates near-full chunks that the next insert
         // splits again — at the harness's steady-state density of 1/2 a
         // half-full trigger thrashes split/merge on every other update.
         const unsigned Pop = static_cast<unsigned>(std::popcount(NewOcc));
-        if ((Pop == 1 || 4 * Pop <= ChunkKeys) &&
-            heatOf(Curr) < HotSplitThreshold)
+        if (Pop == 1 || 4 * Pop <= ChunkKeys)
           tryMergeWithNext(Pred, Curr, G);
       }
       return true;
@@ -751,6 +608,98 @@ private:
     }
   }
 
+  /// An update's reading of its routed chunk: the occupancy word and
+  /// Key's slot in it (-1 when absent) as its last scan saw them, and
+  /// whether that scan answered the op with no write to make.
+  struct Reading {
+    uint64_t Occ = 0;
+    int Slot = -1;
+    bool Decided = false;
+  };
+
+  /// The value-aware rule at chunk granularity, shared by insert
+  /// (\p Remove false: the op writes only if Key is absent) and remove
+  /// (the op writes only if Key is present). Optimistic phase: version
+  /// probe first, so the scan can double as the lock's validation
+  /// (ChunkLock fast path), then liveness, then the data decision —
+  /// an answer already known from data returns without ever locking.
+  /// Then the under-lock decision (lockIfUndecided). Same three
+  /// outcomes as that: locked (true), decided (false, R.Decided) or
+  /// retry (false).
+  bool lockForUpdate(Chunk *C, SetKey Key, bool Remove, Reading &R,
+                     typename Reclaim::Guard &G)
+      VBL_TRY_ACQUIRE(true, C->Lock) {
+    const uint64_t Seen = C->Lock.template optimisticVersion<Policy>(C);
+    // Liveness must be read between probe and acquire: the lock's fast
+    // path only certifies facts observed after the probe. Without this
+    // read, a fresh probe on a chunk frozen just before it takes the
+    // fast path and writes into the retired copy — for a remove, a slot
+    // cleared there while the replacement keeps the key (a lost remove).
+    if (Policy::read(C->Marked, std::memory_order_acquire, C,
+                     MemField::Marked))
+      return false;
+    R.Occ = Policy::read(C->Occ, std::memory_order_acquire, &C->Occ,
+                         MemField::Marked);
+    R.Slot = scanFor(C, R.Occ, Key);
+    if constexpr (Versioned) {
+      // The Marked/Occ/slot reads above may be of a revived block: the
+      // lock's version fast path cannot catch cross-incarnation reuse
+      // on its own (the freelist round trip performs no lock traffic),
+      // so certify the incarnation before trusting the scan or handing
+      // Seen to the fast path.
+      if (!Domain.validAt(C, G.version())) {
+        G.refresh();
+        return false;
+      }
+    }
+    R.Decided = (R.Slot >= 0) != Remove;
+    if (R.Decided)
+      return false;
+    return lockIfUndecided(C, Seen, Key, Remove, R, G);
+  }
+
+  /// The one under-lock decision of a single-key update (insert,
+  /// remove, structural insert): takes \p C's lock, keeps it with no
+  /// further read while the version is still \p Seen (the optimistic
+  /// scan in \p R then doubles as the validation; InvalidVersion
+  /// forces the re-check), and otherwise re-derives Key's presence from
+  /// C's data — never from node identity. Three outcomes:
+  ///  - true: locked; C is live and the op has to write. \p R holds the
+  ///    occupancy and Key's slot as read under the lock (or, on the
+  ///    fast path, the optimistic reading it came in with).
+  ///  - false with R.Decided (which must be false on entry): the live
+  ///    chunk's data answers the op (Key present for an insert, absent
+  ///    for a remove); nothing to write.
+  ///  - false otherwise: C was frozen or, under VBR, is no longer the
+  ///    incarnation the route certified; the caller retries
+  ///    (chunk.validation_aborts).
+  bool lockIfUndecided(Chunk *C, uint64_t Seen, SetKey Key, bool Remove,
+                       Reading &R,
+                       [[maybe_unused]] typename Reclaim::Guard &G)
+      VBL_TRY_ACQUIRE(true, C->Lock) {
+    const bool Locked =
+        C->Lock.template acquireIfValidSince<Policy>(C, Seen, [&] {
+          if (Policy::readCheck(C->Marked, std::memory_order_acquire, C,
+                                MemField::Marked))
+            return false;
+          R.Occ = Policy::readCheck(C->Occ, std::memory_order_acquire,
+                                    &C->Occ, MemField::Marked);
+          R.Slot = scanFor<true>(C, R.Occ, Key);
+          if constexpr (Versioned) {
+            // Birth last: C's anchor justified the placement at route
+            // time, so only that incarnation's scan may answer for
+            // Key's range.
+            if (!Domain.validAt(C, G.version()))
+              return false;
+          }
+          R.Decided = (R.Slot >= 0) != Remove;
+          return !R.Decided;
+        });
+    if (!Locked && !R.Decided)
+      stats::bump(stats::Counter::ChunkValidationAborts);
+    return Locked;
+  }
+
   /// Slot-read order. Non-versioned: relaxed — published slots are
   /// write-once and the Occ acquire that exposed the bit orders the
   /// slot store, so a relaxed read returns the one value the slot will
@@ -760,40 +709,39 @@ private:
   static constexpr std::memory_order SlotReadOrder =
       Versioned ? std::memory_order_acquire : std::memory_order_relaxed;
 
-  /// Slot index in \p C holding \p Key among the set bits of \p Occ, or
-  /// -1.
-  int scanFor(const Chunk *C, uint64_t Occ, SetKey Key) const {
-    uint64_t Bits = Occ;
-    while (Bits) {
+  /// The one loop over a chunk's occupied slots: reads the key of each
+  /// slot whose bit is set in \p Occ, in slot order, and hands it to
+  /// \p Visit until Visit returns true; returns that slot's index, or
+  /// -1. \p UnderLock picks the read's flavour: Policy::readCheck under
+  /// the chunk lock (the schedule exporter drops those when projecting
+  /// onto LL), Policy::read for the unlocked reads an optimistic
+  /// decision rests on. \p Order is the read's memory order.
+  template <bool UnderLock, std::memory_order Order = SlotReadOrder,
+            class VisitFn>
+  static int forEachSlot(const Chunk *C, uint64_t Occ, VisitFn &&Visit) {
+    for (uint64_t Bits = Occ; Bits; Bits &= Bits - 1) {
       const int I = std::countr_zero(Bits);
-      Bits &= Bits - 1;
-      if (Policy::read(C->Keys[static_cast<size_t>(I)], SlotReadOrder,
-                       &C->Keys[static_cast<size_t>(I)],
-                       MemField::Val) == Key)
+      const std::atomic<SetKey> &Slot = C->Keys[static_cast<size_t>(I)];
+      const SetKey K =
+          UnderLock ? Policy::readCheck(Slot, Order, &Slot, MemField::Val)
+                    : Policy::read(Slot, Order, &Slot, MemField::Val);
+      if (Visit(K))
         return I;
     }
     return -1;
   }
 
+  /// Slot index in \p C holding \p Key among the set bits of \p Occ, or
+  /// -1.
+  template <bool UnderLock = false>
+  static int scanFor(const Chunk *C, uint64_t Occ, SetKey Key) {
+    return forEachSlot<UnderLock>(C, Occ,
+                                  [Key](SetKey K) { return K == Key; });
+  }
+
   /// Optimistic-scan retry budget before rangeQuery downgrades to the
   /// per-chunk lock fallback.
   static constexpr unsigned ScanMaxRetries = 3;
-
-  /// Appends the published keys of \p C that fall inside [Lo, Hi]
-  /// (slot reads in scanFor flavour: part of an optimistic read).
-  void collectInRange(const Chunk *C, uint64_t Occ, SetKey Lo, SetKey Hi,
-                      std::vector<SetKey> &Out) const {
-    uint64_t Bits = Occ;
-    while (Bits) {
-      const int I = std::countr_zero(Bits);
-      Bits &= Bits - 1;
-      const SetKey K =
-          Policy::read(C->Keys[static_cast<size_t>(I)], SlotReadOrder,
-                       &C->Keys[static_cast<size_t>(I)], MemField::Val);
-      if (K >= Lo && K <= Hi)
-        Out.push_back(K);
-    }
-  }
 
   /// Range-scan fallback: collect each window chunk's keys under its
   /// own lock, hand-over-chunk. Only per-chunk atomicity (every key is
@@ -842,16 +790,11 @@ private:
             Policy::readCheck(C->Occ, std::memory_order_acquire, &C->Occ,
                               MemField::Marked);
         const size_t Base = Out.size();
-        uint64_t Bits = Occ;
-        while (Bits) {
-          const int I = std::countr_zero(Bits);
-          Bits &= Bits - 1;
-          const SetKey K = Policy::readCheck(
-              C->Keys[static_cast<size_t>(I)], SlotReadOrder,
-              &C->Keys[static_cast<size_t>(I)], MemField::Val);
+        forEachSlot<true>(C, Occ, [&](SetKey K) {
           if (K >= ScanFrom && K <= Hi)
             Out.push_back(K);
-        }
+          return false;
+        });
         std::sort(Out.begin() + static_cast<ptrdiff_t>(Base), Out.end());
         // Under C's lock, Next is C's genuine successor and cannot be
         // frozen (its freezer needs this lock), so its anchor is
@@ -872,21 +815,6 @@ private:
     }
     stats::noteTraversal(Chunks);
     return Out.size() - Entry;
-  }
-
-  /// scanFor in validation flavour (under the chunk lock; the schedule
-  /// exporter drops readCheck accesses when projecting onto LL).
-  int scanForCheck(const Chunk *C, uint64_t Occ, SetKey Key) const {
-    uint64_t Bits = Occ;
-    while (Bits) {
-      const int I = std::countr_zero(Bits);
-      Bits &= Bits - 1;
-      if (Policy::readCheck(C->Keys[static_cast<size_t>(I)], SlotReadOrder,
-                            &C->Keys[static_cast<size_t>(I)],
-                            MemField::Val) == Key)
-        return I;
-    }
-    return -1;
   }
 
   /// Writes \p Key into clean slot \p FC of locked chunk \p C and
@@ -923,12 +851,6 @@ private:
                         MemField::Val);
           Policy::write(C->Marked, false, std::memory_order_release, C,
                         MemField::Marked);
-          // No constructor runs, so the previous incarnation's contention
-          // heat is cleared by hand: a revived chunk starts cold (also
-          // the hysteresis that keeps a just-split chunk from immediately
-          // splitting again).
-          Policy::write(C->Heat, uint32_t{0}, std::memory_order_release,
-                        &C->Heat, MemField::Val);
         });
   }
 
@@ -1034,51 +956,23 @@ private:
     // Under Pred's lock with Pred->Next == Curr, Curr cannot be frozen
     // (its freezer must hold this same Pred lock), so acquiring it only
     // waits out single-chunk inserts/removes.
-    bool FoundUnderLock = false;
-    uint64_t OccAtAcquire = 0;
-    if (!Curr->Lock.template acquireIfValidSince<Policy>(
-            Curr, ChunkLock::InvalidVersion, [&] {
-              if (Policy::readCheck(Curr->Marked,
-                                    std::memory_order_acquire, Curr,
-                                    MemField::Marked))
-                return false;
-              const uint64_t O =
-                  Policy::readCheck(Curr->Occ, std::memory_order_acquire,
-                                    &Curr->Occ, MemField::Marked);
-              const int FoundHere = scanForCheck(Curr, O, Key);
-              if constexpr (Versioned) {
-                // Curr's anchor justified the placement at route time;
-                // only that incarnation may answer for Key's range.
-                if (!Domain.validAt(Curr, G.version()))
-                  return false;
-              }
-              if (FoundHere >= 0) {
-                FoundUnderLock = true;
-                return false;
-              }
-              OccAtAcquire = O;
-              return true;
-            })) {
+    Reading R;
+    if (!lockIfUndecided(Curr, ChunkLock::InvalidVersion, Key,
+                         /*Remove=*/false, R, G)) {
       Pred->Lock.template release<Policy>(Pred);
-      if (FoundUnderLock)
-        return 0;
-      stats::bump(stats::Counter::ChunkValidationAborts);
-      noteContention(Curr);
-      return -1;
+      return R.Decided ? 0 : -1;
     }
     // Every structural-path lock acquisition samples the chunk's
     // population, so long-stable chunks keep reporting steady-state
     // occupancy even when the path below returns without freezing (the
     // freeze-time Occ equals this sample: Occ only changes under the
     // lock we now hold).
-    stats::histogramAdd(
-        stats::Histogram::ChunkOccupancy,
-        static_cast<uint64_t>(std::popcount(OccAtAcquire)));
-    const bool Hot = Adaptive && heatOf(Curr) >= HotSplitThreshold;
+    stats::histogramAdd(stats::Histogram::ChunkOccupancy,
+                        static_cast<uint64_t>(std::popcount(R.Occ)));
     const uint32_t FC =
         Policy::readCheck(Curr->FirstClean, std::memory_order_relaxed,
                           &Curr->FirstClean, MemField::Marked);
-    if (FC < ChunkKeys && !Hot) {
+    if (FC < ChunkKeys) {
       // A slot opened between our single-lock attempt and here.
       storeSlot(Curr, FC, Key);
       Curr->Lock.template release<Policy>(Curr);
@@ -1090,28 +984,22 @@ private:
         Curr->Occ, std::memory_order_relaxed, &Curr->Occ, MemField::Marked);
     std::array<SetKey, ChunkKeys + 1> All;
     size_t Total = 0;
-    uint64_t Bits = O;
-    while (Bits) {
-      const int I = std::countr_zero(Bits);
-      Bits &= Bits - 1;
-      std::atomic<SetKey> &Slot = Curr->Keys[static_cast<size_t>(I)];
-      All[Total++] = Policy::readCheck(Slot, std::memory_order_relaxed,
-                                       &Slot, MemField::Val);
-    }
+    forEachSlot<true, std::memory_order_relaxed>(Curr, O, [&](SetKey K) {
+      All[Total++] = K;
+      return false;
+    });
     All[Total++] = Key;
     sortGathered(All, Total);
     Chunk *NextC = Policy::readCheck(Curr->Next, std::memory_order_acquire,
                                      Curr, MemField::Next);
     Chunk *Replacement;
-    if (Total <= ChunkKeys && !(Hot && Total >= 2)) {
-      // Dead slots made room: one compacted copy. A hot chunk refuses
-      // the compaction (unless it holds a single key) and splits below
-      // instead — that is the adaptive small-K move.
+    if (Total <= ChunkKeys) {
+      // Dead slots made room: one compacted copy.
       Replacement = buildChunk(rawAnchor(Curr), All.data(), Total, NextC);
       stats::bump(stats::Counter::ChunkCompactions);
     } else {
-      // Genuinely full (or hot): split at the median; the upper half's
-      // anchor is its own least key (strictly above the lower half's).
+      // Genuinely full: split at the median; the upper half's anchor is
+      // its own least key (strictly above the lower half's).
       const size_t Mid = Total / 2;
       Chunk *Upper = buildChunk(All[Mid], All.data() + Mid, Total - Mid,
                                 NextC);
@@ -1164,38 +1052,7 @@ private:
     reclaim::domainRetire<Policy>(Domain, Curr);
   }
 
-  /// Advisory contention heat of a chunk (adaptive builds only). Read
-  /// without any lock: the value only steers shape decisions, never
-  /// correctness, so a stale read is harmless.
-  uint32_t heatOf(const Chunk *C) const {
-    if constexpr (!Adaptive) {
-      (void)C;
-      return 0;
-    } else {
-      return Policy::read(C->Heat, std::memory_order_acquire, &C->Heat,
-                          MemField::Val);
-    }
-  }
-
-  /// Records a validation abort against \p C with a single, non-looping
-  /// CAS. A lost race simply drops the sample — heat is a lossy counter
-  /// and under-counting only delays the hot-split decision. Saturates at
-  /// 2x the threshold so a long-hot chunk's word stops being written.
-  void noteContention(Chunk *C) {
-    if constexpr (Adaptive) {
-      uint32_t Seen = Policy::read(C->Heat, std::memory_order_acquire,
-                                   &C->Heat, MemField::Val);
-      if (Seen >= 2 * HotSplitThreshold)
-        return;
-      (void)Policy::casStrong(C->Heat, Seen, Seen + 1,
-                              std::memory_order_acq_rel, &C->Heat,
-                              MemField::Val);
-    } else {
-      (void)C;
-    }
-  }
-
-  /// Best-effort merge of a cold, underfull chunk with its successor:
+  /// Best-effort merge of an underfull chunk with its successor:
   /// lock (pred, chunk, next) in list order, revalidate that the merged
   /// population still fits one chunk, then freeze BOTH sources and swing
   /// pred to a single combined replacement anchored at Curr's anchor.
@@ -1262,16 +1119,12 @@ private:
     // union to one chunk's capacity.
     std::array<SetKey, ChunkKeys> All;
     size_t Total = 0;
-    for (Chunk *Src : {Curr, NextC}) {
-      uint64_t Bits = Src == Curr ? OccCurr : OccNext;
-      while (Bits) {
-        const int I = std::countr_zero(Bits);
-        Bits &= Bits - 1;
-        std::atomic<SetKey> &Slot = Src->Keys[static_cast<size_t>(I)];
-        All[Total++] = Policy::readCheck(Slot, std::memory_order_relaxed,
-                                         &Slot, MemField::Val);
-      }
-    }
+    const auto Gather = [&](SetKey K) {
+      All[Total++] = K;
+      return false;
+    };
+    forEachSlot<true, std::memory_order_relaxed>(Curr, OccCurr, Gather);
+    forEachSlot<true, std::memory_order_relaxed>(NextC, OccNext, Gather);
     sortGathered(All, Total);
     Chunk *NextOfN = Policy::readCheck(
         NextC->Next, std::memory_order_acquire, NextC, MemField::Next);

@@ -91,11 +91,6 @@ using SoHashHm = maps::SplitOrderedHashSet<HarrisMichaelDefault>;
 using SoHashVbl = maps::SplitOrderedHashSet<VblDefault>;
 using SoHashVblVbr = maps::SplitOrderedHashSet<VblVbr>;
 using SoHashHmHp = maps::SplitOrderedHashSet<HarrisMichaelHp>;
-// Contention-adaptive chunking: splits hot chunks toward small
-// effective K, merges cold runs toward large K, both piggybacked on the
-// freeze-and-replace protocol.
-using VblChunkAdaptive =
-    VblChunkList<7, reclaim::EpochDomain, DirectPolicy, /*Adaptive=*/true>;
 
 static const RegistryEntry Registry[] = {
     {"vbl", &makeAdapter<VblDefault>,
@@ -155,9 +150,6 @@ static const RegistryEntry Registry[] = {
     {"vbl-chunk-vbr", &makeAdapter<VblChunkVbr>,
      "chunked VBL over version-based reclamation; substrate=chunk K=7 "
      "domain=vbr lock=chunk-seqlock"},
-    {"vbl-chunk-adaptive", &makeAdapter<VblChunkAdaptive>,
-     "chunked VBL, contention-adaptive shapes (hot split / cold merge); "
-     "substrate=chunk K=7 domain=ebr lock=chunk-seqlock"},
     {"so-hash-hm-resize", &makeAdapter<SoHashHm>,
      "split-ordered hash over Harris-Michael, grow+shrink index; "
      "substrate=hash/flat domain=ebr lock=none keys=[0,2^62)",

@@ -130,9 +130,9 @@ enum class Counter : uint16_t {
                             ///  one compacted copy.
   ChunkUnlinks,             ///< chunk.unlinks: logically-empty chunk
                             ///  marked and unlinked (Harris-style).
-  ChunkMerges,              ///< chunk.merges: two adjacent cold chunks
-                            ///  frozen and replaced by one combined
-                            ///  chunk (adaptive reshaping only).
+  ChunkMerges,              ///< chunk.merges: an underfull chunk and
+                            ///  its successor frozen and replaced by
+                            ///  one combined chunk.
   ChunkValidationAborts,    ///< chunk.validation_aborts: lock-held
                             ///  revalidation of a chunk failed; the
                             ///  operation re-traversed.
@@ -207,11 +207,11 @@ enum class Histogram : uint16_t {
   EpochLag,       ///< hist.epoch_lag: global minus oldest announced epoch
                   ///  sampled at every failed advance (reader lag depth).
   ChunkOccupancy, ///< hist.chunk_occupancy: live keys per chunk, sampled
-                  ///  whenever a chunk is frozen or unlinked (its final
-                  ///  occupancy) AND on every structural-path lock
-                  ///  acquisition, so long-stable chunks report their
-                  ///  steady-state population too — the signal the
-                  ///  adaptive chunking policy consumes.
+                  ///  on every structural-path lock acquisition (split
+                  ///  or compaction decision, unlink, merge validation),
+                  ///  so long-stable chunks report their steady-state
+                  ///  population too. Observability only: the merge
+                  ///  trigger reads the chunk's own occupancy word.
   ServiceCombineOps, ///< hist.service_combine_ops: ops drained per
                      ///  combine round (own batch + every published batch
                      ///  the round picked up).

@@ -20,16 +20,32 @@
 ///    cursor chunk marked and re-routing from the head: the window
 ///    VblChunkList::resume() exists for.
 ///
-/// Kept out of analysis_chunklist_test, whose runtime already bounds
-/// the sanitizer CI cells.
+/// Two more chunk-list explorations ride along:
+///
+///  - merges under VBR: the merge corpus (chunkMergeScenarios) over a
+///    K=4 list on the version-based domain, where one merge retires two
+///    chunks that the same thread's next allocation revives at once.
+///    Every explored interleaving must be race-free and flow-clean, and
+///    vacuity guards require merges and block reuse to have happened.
+///  - the freeze-window restart: a forced schedule parks a freezer
+///    between its mark and its swing, and the other thread's update
+///    restarts on the marked, still-linked chunk without ever locking.
+///
+/// Kept out of analysis_chunklist_test and analysis_vbr_test, whose
+/// runtimes already bound the sanitizer CI cells.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/VblChunkList.h"
 #include "reclaim/LeakyDomain.h"
+#include "reclaim/VbrDomain.h"
 #include "sched/AnalyzedPolicy.h"
 #include "sched/InterleavingExplorer.h"
+#include "sched/StepScheduler.h"
 #include "sched/TracedPolicy.h"
+#include "stats/Stats.h"
+
+#include "sched/ScenarioCorpus.h"
 
 #include <gtest/gtest.h>
 
@@ -203,6 +219,137 @@ TEST(ChunkBatchSchedTest, K2BatchVsFreeze) {
                         {true, true},
                         {1, 3}};
   runBatchVsFreeze<ChunkK2>(S, episodeCapOr(1500));
+}
+
+//===----------------------------------------------------------------===//
+// Merges under version-based reclamation
+//===----------------------------------------------------------------===//
+
+/// The merge corpus over \p ListT (a K=4 list on a VBR domain): every
+/// explored episode must be race-free and flow-clean. Vacuity: some
+/// episode merged, and some episode revived a retired chunk — a merge's
+/// two sources go straight to the retiring thread's free list, so its
+/// next allocation (chunk_heat_toggle's re-insert splits the merged
+/// chunk) reuses them while the other thread may still read them. The
+/// PR cap of 500 episodes per scenario keeps this binary well inside
+/// its timeout under the sanitizers; the nightly deepens it.
+template <class ListT> void expectMergesCleanUnderVbr(const char *ListName) {
+  const stats::Snapshot Before = stats::snapshotAll();
+  size_t ReusedEpisodes = 0;
+  for (const Scenario &S : chunkMergeScenarios()) {
+    std::shared_ptr<ListT> List;
+    InterleavingExplorer Explorer(factoryForWith(S, [&List] {
+      List = std::make_shared<ListT>();
+      return List;
+    }));
+    size_t Episodes = 0;
+    Explorer.exploreAll(
+        [&](const EpisodeResult &Result) {
+          ++Episodes;
+          EXPECT_FALSE(Result.Deadlocked) << ListName << " / " << S.Name;
+          for (const analysis::RaceReport &Report : Result.Races)
+            ADD_FAILURE() << ListName << " / " << S.Name << ": "
+                          << Report.toString();
+          for (const analysis::FlowReport &Report : Result.FlowViolations)
+            ADD_FAILURE() << ListName << " / " << S.Name << ": "
+                          << Report.toString();
+          ReusedEpisodes += List->reclaimDomain().reusedCount() > 0;
+        },
+        std::min(S.MaxEpisodes, episodeCapOr(500)));
+    EXPECT_GT(Episodes, 0u) << ListName << " / " << S.Name;
+  }
+  EXPECT_GT(ReusedEpisodes, 0u)
+      << ListName << ": no episode revived a retired chunk";
+  if (stats::Enabled) {
+    const stats::Snapshot Delta = stats::snapshotAll().delta(Before);
+    EXPECT_GT(Delta.get(stats::Counter::ChunkMerges), 0u)
+        << ListName << ": no episode merged two chunks";
+  }
+}
+
+TEST(ChunkBatchSchedTest, VbrMergeScenariosAreRaceFree) {
+  expectMergesCleanUnderVbr<VblChunkList<
+      4, reclaim::BasicVbrDomain<AnalyzedPolicy>, AnalyzedPolicy>>(
+      "VblChunkList<4>+VBR");
+}
+
+TEST(ChunkBatchSchedTest, VbrMergeScenariosAreFlowClean) {
+  expectMergesCleanUnderVbr<VblChunkList<
+      4, reclaim::BasicVbrDomain<TracedPolicy>, TracedPolicy>>(
+      "VblChunkList<4>+VBR");
+}
+
+//===----------------------------------------------------------------===//
+// The freeze-window restart
+//===----------------------------------------------------------------===//
+
+// K=1: chunk {1} is full, so thread 1's insert(2) freezes it and swings
+// in the split {1} -> {2}. Parked between its Marked write and its
+// Pred->Next swing, thread 1 holds the head's and the chunk's locks;
+// thread 0's remove(1) routes to the marked, still-linked chunk, reads
+// the mark and restarts, again and again, without reaching a lock. Only
+// the freezer's two remaining steps end the window, which is why a
+// schedule that keeps granting thread 0 (the explorer's lowest-thread
+// extension after such a prefix) never finishes.
+TEST(ChunkBatchSchedTest, K1FreezeWindowRestartsWithoutLocking) {
+  auto List = std::make_shared<ChunkK1>();
+  ASSERT_TRUE(List->insert(1));
+  const void *Frozen = List->nodeChain()[1].first;
+  bool RemoveResult = false;
+  bool InsertResult = false;
+  StepScheduler Sched({[&] {
+                         RemoveResult = tracedOp(SetOp::Remove, 1, [&] {
+                           return List->remove(1);
+                         });
+                       },
+                       [&] {
+                         InsertResult = tracedOp(SetOp::Insert, 2, [&] {
+                           return List->insert(2);
+                         });
+                       }});
+  const auto Count = [&](unsigned Thread, auto Pred) {
+    size_t N = 0;
+    for (const Event &E : Sched.trace())
+      N += E.Thread == Thread && Pred(E);
+    return N;
+  };
+  const auto IsFreeze = [&](const Event &E) {
+    return E.Kind == EventKind::Write && E.Field == MemField::Marked &&
+           E.Node == Frozen && E.Value == 1;
+  };
+  // 1. Thread 1 up to (and including) its freeze mark.
+  for (int I = 0; I != 300 && Count(1, IsFreeze) == 0; ++I)
+    Sched.step(1);
+  ASSERT_EQ(Count(1, IsFreeze), 1u) << Sched.schedule().toString();
+  ASSERT_TRUE(Sched.runnable(1));
+  // 2. Thread 0 restarts on the frozen chunk.
+  const auto IsRestart = [](const Event &E) {
+    return E.Kind == EventKind::Restart;
+  };
+  for (int I = 0; I != 300 && Count(0, IsRestart) < 3; ++I) {
+    ASSERT_TRUE(Sched.runnable(0)) << Sched.schedule().toString();
+    Sched.step(0);
+  }
+  EXPECT_GE(Count(0, IsRestart), 3u) << Sched.schedule().toString();
+  EXPECT_EQ(Count(0,
+                  [](const Event &E) {
+                    return E.Kind == EventKind::LockAcquire ||
+                           E.Kind == EventKind::LockBlocked ||
+                           E.Kind == EventKind::Write;
+                  }),
+            0u)
+      << Sched.schedule().toString();
+  // 3. The freezer's swing ends the window; then the remove completes.
+  while (Sched.runnable(1))
+    Sched.step(1);
+  ASSERT_TRUE(Sched.finished(1));
+  while (Sched.runnable(0))
+    Sched.step(0);
+  ASSERT_TRUE(Sched.finished(0));
+  EXPECT_TRUE(InsertResult);
+  EXPECT_TRUE(RemoveResult);
+  EXPECT_EQ(List->snapshot(), (std::vector<SetKey>{2}));
+  EXPECT_TRUE(List->checkInvariants());
 }
 
 } // namespace

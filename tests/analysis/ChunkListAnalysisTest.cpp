@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Runs VblChunkList under AnalyzedPolicy and asserts the
-/// happens-before detector finds ZERO races. Two chunk shapes are
-/// driven: K=1 (every second insert into a chunk is structural, so the
-/// corpus maximizes freeze/replace churn) and K=2 (mixes the in-chunk
-/// slot path with splits). On top of the shared corpus, two targeted
-/// scenarios pin the chunk-specific windows down:
+/// happens-before detector finds ZERO races and the per-step flow oracle
+/// (F1-F7) no violation. Two chunk shapes run the shared corpus: K=1
+/// (every second insert into a chunk is structural, so the corpus
+/// maximizes freeze/replace churn) and K=2 (mixes the in-chunk slot
+/// path with splits and merges); K=4 runs the targeted merge scenarios
+/// (chunkMergeScenarios). Targeted scenarios pin the chunk-specific
+/// windows down, among them:
 ///
 ///  - split_vs_traversal: a full chunk is frozen and replaced by a
 ///    median split while another thread scans it without locks. The
@@ -57,7 +59,12 @@ size_t corpusEpisodeCap() { return episodeCapOr(300); }
 
 using ChunkK1 = VblChunkList<1, reclaim::LeakyDomain, AnalyzedPolicy>;
 using ChunkK2 = VblChunkList<2, reclaim::LeakyDomain, AnalyzedPolicy>;
+using ChunkK4 = VblChunkList<4, reclaim::LeakyDomain, AnalyzedPolicy>;
 
+/// Race detector + flow oracle over one scenario. The corpus factory
+/// wires flowView() automatically, so every episode's flow reports are
+/// computed anyway; a merge that swung before marking both sources
+/// would trip F6 (unlinked-while-unmarked) here.
 template <class ListT>
 void expectRaceFree(const Scenario &S, const char *ListName,
                     size_t EpisodeCap) {
@@ -71,6 +78,9 @@ void expectRaceFree(const Scenario &S, const char *ListName,
         for (const analysis::RaceReport &Report : Result.Races)
           ADD_FAILURE() << ListName << " / " << S.Name << ": "
                         << Report.toString();
+        for (const analysis::FlowReport &Report : Result.FlowViolations)
+          ADD_FAILURE() << ListName << " / " << S.Name << ": "
+                        << Report.toString();
       },
       std::min(S.MaxEpisodes, EpisodeCap));
   EXPECT_GT(Episodes, 0u) << ListName << " / " << S.Name;
@@ -78,6 +88,8 @@ void expectRaceFree(const Scenario &S, const char *ListName,
                           << ": no accesses logged — is the policy wired?";
 }
 
+/// The generic corpus. On K=2 every remove that leaves one key arms a
+/// merge probe, so the corpus also drives merges.
 template <class ListT> void expectRaceFreeCorpus(const char *ListName) {
   for (const Scenario &S : scenarios())
     expectRaceFree<ListT>(S, ListName, corpusEpisodeCap());
@@ -176,55 +188,12 @@ TEST(ChunkListAnalysisTest, FullChunkToggleChain) {
   expectRaceFree<ChunkK2>(S, "VblChunkList<2>", episodeCapOr(4000));
 }
 
-//===----------------------------------------------------------------===//
-// Contention-adaptive shapes (Adaptive=true): cold merges and the
-// heat-forced split ride the same freeze-and-replace protocol, so the
-// same oracles must stay silent — plus the flow invariant (F1-F7),
-// which is the sharp check on the merge's two-marks-one-swing order.
-//===----------------------------------------------------------------===//
-
-using AdaptiveK2 =
-    VblChunkList<2, reclaim::LeakyDomain, AnalyzedPolicy, /*Adaptive=*/true>;
-using AdaptiveK4 =
-    VblChunkList<4, reclaim::LeakyDomain, AnalyzedPolicy, /*Adaptive=*/true>;
-
-/// Race detector + flow oracle over one scenario. The corpus factory
-/// wires flowView() automatically; a merge that swung before marking
-/// both sources would trip F6 (unlinked-while-unmarked) here.
-template <class ListT>
-void expectRaceAndFlowFree(const Scenario &S, const char *ListName,
-                           size_t EpisodeCap) {
-  InterleavingExplorer Explorer(factoryFor<ListT>(S));
-  size_t Episodes = 0;
-  Explorer.exploreAll(
-      [&](const EpisodeResult &Result) {
-        ++Episodes;
-        for (const analysis::RaceReport &Report : Result.Races)
-          ADD_FAILURE() << ListName << " / " << S.Name << ": "
-                        << Report.toString();
-        for (const analysis::FlowReport &Report : Result.FlowViolations)
-          ADD_FAILURE() << ListName << " / " << S.Name << ": "
-                        << Report.toString();
-      },
-      std::min(S.MaxEpisodes, EpisodeCap));
-  EXPECT_GT(Episodes, 0u) << ListName << " / " << S.Name;
-}
-
-TEST(ChunkListAnalysisTest, AdaptiveCorpusIsRaceFree) {
-  // The generic corpus on an adaptive K=2 list: every remove that
-  // leaves one key arms a merge probe, every abort bumps heat.
-  for (const Scenario &S : scenarios())
-    expectRaceAndFlowFree<AdaptiveK2>(S, "VblChunkList<2,adaptive>",
-                                      corpusEpisodeCap());
-}
-
-TEST(ChunkListAnalysisTest, AdaptiveMergeScenariosAreClean) {
-  // The targeted merge corpus needs K=4 (see adaptiveChunkScenarios):
-  // prefill {1..5} lays out {1,2} -> {3,4,5}, and removing from the
-  // first chunk makes the 4-key union fit exactly.
-  for (const Scenario &S : adaptiveChunkScenarios())
-    expectRaceAndFlowFree<AdaptiveK4>(S, "VblChunkList<4,adaptive>",
-                                      episodeCapOr(2000));
+// The targeted merge corpus needs K=4 (see chunkMergeScenarios):
+// prefill {1..5} lays out {1,2} -> {3,4,5}, and removing from the first
+// chunk makes the 4-key union fit exactly.
+TEST(ChunkListAnalysisTest, MergeScenariosAreClean) {
+  for (const Scenario &S : chunkMergeScenarios())
+    expectRaceFree<ChunkK4>(S, "VblChunkList<4>", episodeCapOr(2000));
 }
 
 } // namespace

@@ -7,12 +7,12 @@
 //
 // ChunkLock protocol tests plus chunk-list structure tests: split on
 // overflow, compaction of dead slots, head splicing, empty-chunk
-// unlink, invariants under randomized churn, the chunk stats counters,
-// and the sorted-batch path (applyBatchSorted) over every registered
-// chunk shape. The generic registry-driven suites (basic / concurrent /
-// differential / property / chaos) already cover vbl-chunk* set
-// semantics; this file asserts the *chunked* behaviours those suites
-// cannot see.
+// unlink, the merge of underfull chunks, invariants under randomized
+// churn, the chunk stats counters, and the sorted-batch path
+// (applyBatchSorted) over every registered chunk shape. The generic
+// registry-driven suites (basic / concurrent / differential / property
+// / chaos) already cover vbl-chunk* set semantics; this file asserts
+// the *chunked* behaviours those suites cannot see.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,10 +114,8 @@ using ChunkVariants =
     ::testing::Types<VblChunkList<1>, VblChunkList<2>, VblChunkList<7>,
                      VblChunkList<15>,
                      VblChunkList<7, reclaim::LeakyDomain>,
-                     VblChunkList<4, reclaim::EpochDomain, DirectPolicy,
-                                  /*Adaptive=*/true>,
-                     VblChunkList<7, reclaim::EpochDomain, DirectPolicy,
-                                  /*Adaptive=*/true>>;
+                     VblChunkList<4>,
+                     VblChunkList<4, reclaim::VbrDomain>>;
 TYPED_TEST_SUITE(ChunkVariantTest, ChunkVariants);
 
 TYPED_TEST(ChunkVariantTest, SetSemanticsAndInvariants) {
@@ -264,16 +262,13 @@ TEST(VblChunkListTest, ChunkLayoutIsLineAlignedAndPoolable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Contention-adaptive shapes (Adaptive=true)
+// Merging underfull chunks
 //===----------------------------------------------------------------------===//
 
-using AdaptiveK4 =
-    VblChunkList<4, reclaim::EpochDomain, DirectPolicy, /*Adaptive=*/true>;
-
-TEST(VblChunkListTest, AdaptiveMergeFoldsSingletonIntoSuccessor) {
-  AdaptiveK4 List;
+TEST(VblChunkListTest, MergeFoldsSingletonIntoSuccessor) {
+  VblChunkList<4> List;
   // Ascending 1..5 lays out {1,2} -> {3,4,5} (median split of the full
-  // first chunk). Removing 1 leaves a cold singleton whose union with
+  // first chunk). Removing 1 leaves a singleton whose union with
   // the 3-key successor fits one chunk, so the remove piggybacks a
   // merge: two sources frozen, one combined replacement swung in.
   for (SetKey Key = 1; Key <= 5; ++Key)
@@ -292,8 +287,8 @@ TEST(VblChunkListTest, AdaptiveMergeFoldsSingletonIntoSuccessor) {
   }
 }
 
-TEST(VblChunkListTest, AdaptiveMergeRespectsQuarterFullHysteresis) {
-  AdaptiveK4 List;
+TEST(VblChunkListTest, MergeRespectsQuarterFullHysteresis) {
+  VblChunkList<4> List;
   // Build {10,15,20} -> {30}: ascending 10..50 splits into
   // {10,20} -> {30,40,50}, insert 15 refills the first chunk, removing
   // 40 and 50 thins the second to a singleton (whose own merge probe
@@ -360,13 +355,12 @@ TEST(VblChunkListTest, ConcurrentChurnKeepsInvariants) {
 using RegisteredChunkShapes = ::testing::Types<
     VblChunkList<7>, VblChunkList<1>, VblChunkList<15>,
     VblChunkList<7, reclaim::LeakyDomain>,
-    VblChunkList<7, reclaim::VbrDomain>,
-    VblChunkList<7, reclaim::EpochDomain, DirectPolicy, /*Adaptive=*/true>>;
+    VblChunkList<7, reclaim::VbrDomain>>;
 
 struct RegisteredChunkNames {
   template <class T> static std::string GetName(int I) {
-    static const char *const Names[] = {"vbl_chunk", "k1",  "k15",
-                                        "leaky",     "vbr", "adaptive"};
+    static const char *const Names[] = {"vbl_chunk", "k1", "k15", "leaky",
+                                        "vbr"};
     return Names[I];
   }
 };

@@ -165,14 +165,14 @@ inline std::vector<Scenario> hashResizeScenarios() {
   };
 }
 
-/// Scenarios for the contention-adaptive chunk list, tuned to K=4 (the
-/// merge trigger is a quarter-full or singleton chunk and a neighbour
-/// the union fits with). Prefill {1..5} lays out chunks {1,2} ->
-/// {3,4,5}: removing 1 or 2 drops the first chunk to one key and arms
-/// a merge with the 3-key successor (union of 4 fits exactly), so the
-/// two-source freeze + single swing interleaves with the other
+/// Scenarios for the chunk list's merge of underfull chunks, tuned to
+/// K=4 (the merge trigger is a quarter-full or singleton chunk and a
+/// neighbour the union fits with). Prefill {1..5} lays out chunks
+/// {1,2} -> {3,4,5}: removing 1 or 2 drops the first chunk to one key
+/// and arms a merge with the 3-key successor (union of 4 fits exactly),
+/// so the two-source freeze + single swing interleaves with the other
 /// thread's op.
-inline std::vector<Scenario> adaptiveChunkScenarios() {
+inline std::vector<Scenario> chunkMergeScenarios() {
   return {
       {"chunk_merge_vs_contains", {1, 2, 3, 4, 5},
        {{{SetOp::Remove, 1}}, {{SetOp::Contains, 4}}},
@@ -190,8 +190,9 @@ inline std::vector<Scenario> adaptiveChunkScenarios() {
       {"chunk_reshape_vs_range", {1, 2, 3, 4, 5},
        {{{SetOp::Remove, 2}}, {{SetOp::RangeQuery, 1, 6}}},
        {1, 2, 3, 4, 5}, 3000},
-      // Same-chunk churn feeding the heat counter's abort-driven bumps
-      // while a structural insert decides shape under the locks.
+      // Same-chunk churn: the remove's merge leaves one full chunk, so
+      // the re-insert and the other thread's insert both decide shape
+      // under the locks of the structural path.
       {"chunk_heat_toggle", {1, 2, 3, 4, 5},
        {{{SetOp::Remove, 1}, {SetOp::Insert, 1}}, {{SetOp::Insert, 6}}},
        {1, 2, 3, 4, 5, 6}, 2000},

@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/VblChunkList.h"
 #include "core/VblList.h"
 #include "lists/HarrisMichaelList.h"
 #include "lists/LazyList.h"
@@ -375,4 +376,60 @@ TEST(ValueBasedReads, VblVbrReadsNoMarkAndNoLock) {
   expectValueOnlyReads<
       VblList<reclaim::BasicVbrDomain<TracedPolicy>, TracedPolicy>>(
       "VblList+VBR");
+}
+
+namespace {
+
+/// The value-aware rule at chunk granularity: on a chunk list holding
+/// {2, 6}, an insert of a present key, a remove of an absent key and a
+/// contains are all decided from the routed chunk's data. None of them
+/// locks, blocks on a lock or writes; the optimistic version probe of
+/// the two updates only reads the lock word.
+template <class ListT> void expectChunkDecidesWithoutLocking(const char *Name) {
+  InterleavingExplorer Explorer([]() -> Episode {
+    auto List = std::make_shared<ListT>();
+    for (SetKey Key : {2, 6})
+      List->insert(Key);
+    Episode Ep;
+    Ep.HeadNode = List->headNode();
+    Ep.InitialChain = List->nodeChain();
+    Ep.Holder = List;
+    Ep.Bodies.push_back(std::function<void()>([List] {
+      tracedOp(SetOp::Insert, 2, [&] { return List->insert(2); });
+      tracedOp(SetOp::Remove, 4, [&] { return List->remove(4); });
+      tracedOp(SetOp::Contains, 6, [&] { return List->contains(6); });
+    }));
+    return Ep;
+  });
+  const Schedule Trace = Explorer.run({}).Raw;
+  std::vector<uint64_t> Results;
+  size_t ValReads = 0;
+  for (const Event &E : Trace.events()) {
+    ValReads += E.Kind == EventKind::Read && E.Field == MemField::Val;
+    if (E.Kind == EventKind::OpEnd)
+      Results.push_back(E.Value);
+    EXPECT_NE(E.Kind, EventKind::LockAcquire) << Name << "\n"
+                                              << Trace.toString();
+    EXPECT_NE(E.Kind, EventKind::LockBlocked) << Name << "\n"
+                                              << Trace.toString();
+    EXPECT_NE(E.Kind, EventKind::Write) << Name << "\n" << Trace.toString();
+  }
+  // Vacuity: all three ops ran to their data decision.
+  EXPECT_EQ(Results, (std::vector<uint64_t>{0, 0, 1}))
+      << Name << "\n" << Trace.toString();
+  EXPECT_GE(ValReads, 3u) << Name << "\n" << Trace.toString();
+}
+
+} // namespace
+
+TEST(ValueBasedReads, ChunkLeakyDecidesWithoutLocking) {
+  expectChunkDecidesWithoutLocking<
+      VblChunkList<7, reclaim::LeakyDomain, TracedPolicy>>(
+      "VblChunkList<7>+leaky");
+}
+
+TEST(ValueBasedReads, ChunkVbrDecidesWithoutLocking) {
+  expectChunkDecidesWithoutLocking<VblChunkList<
+      7, reclaim::BasicVbrDomain<TracedPolicy>, TracedPolicy>>(
+      "VblChunkList<7>+VBR");
 }

@@ -315,7 +315,7 @@ TEST(ShardedSetTest, UnknownBackendSuggestsClosestNames) {
 
 TEST(ShardedSetTest, RegistryDescriptionsAreComplete) {
   const std::vector<SetDescription> All = registeredSetDescriptions();
-  EXPECT_EQ(All.size(), 26u);
+  EXPECT_EQ(All.size(), 25u);
   EXPECT_EQ(registeredHashSetNames().size(), 4u);
   for (const SetDescription &D : All) {
     EXPECT_FALSE(D.Describe.empty()) << D.Name;

@@ -29,8 +29,7 @@ def main():
     parser.add_argument("--family", default="",
                         help="only rows whose name or description "
                              "contains this substring (case-insensitive):"
-                             " e.g. hash, chunk, resize, adaptive, ebr,"
-                             " vbr, hp")
+                             " e.g. hash, chunk, resize, ebr, vbr, hp")
     args = parser.parse_args()
 
     binary = os.path.join(args.build_dir, "bench", "service_throughput")

@@ -77,8 +77,8 @@ def bench_invocations(args):
         # Unrolled chunk crossover: the flat-vs-chunked gate. 8192 is
         # the smallest range where the cache-line win must already
         # show; 64k stays out of the smoke suite like everywhere else.
-        # --hotcold adds the adaptive-shapes panel: contended hot
-        # region + read-mostly cold region, adaptive K vs static K.
+        # --hotcold adds the mixed panel: contended hot region +
+        # read-mostly cold region, K=7 vs K=1 vs K=15.
         ("unrolled_crossover", common + ["--threads", args.threads,
                                          "--ranges", "128,8192",
                                          "--hotcold",
