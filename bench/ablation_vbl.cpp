@@ -43,14 +43,10 @@ int main(int Argc, char **Argv) {
     return 1;
   setStatsCollection(Flags.getBool("stats"));
 
-  WorkloadConfig Base;
+  WorkloadConfig Base = windowFromFlags(Flags);
   Base.UpdatePercent =
       static_cast<unsigned>(Flags.getInt("update-percent"));
   Base.KeyRange = Flags.getInt("range");
-  Base.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
-  Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-  Base.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-  Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
   Panel Variants("VBL variants",
                  {"vbl", "vbl-node-aware", "vbl-head-restart",

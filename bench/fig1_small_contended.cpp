@@ -32,9 +32,9 @@ int main(int Argc, char **Argv) {
   Flags.addInt("warmup-ms", 40, "warm-up before each window");
   Flags.addInt("repeats", 3, "repetitions per point (paper: 5)");
   Flags.addInt("seed", 42, "base RNG seed");
-  Flags.addString("algos", "vbl,lazy,harris-michael",
-                  "comma-separated algorithms (first/second form the "
-                  "ratio column)");
+  Flags.addStringList("algos", {"vbl", "lazy", "harris-michael"},
+                      "comma-separated algorithms (first/second form "
+                      "the ratio column)");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
                 "collect internal counters and report them per structure");
@@ -42,35 +42,17 @@ int main(int Argc, char **Argv) {
     return 1;
   setStatsCollection(Flags.getBool("stats"));
 
-  std::vector<std::string> Algos;
-  {
-    const std::string &Raw = Flags.getString("algos");
-    size_t Pos = 0;
-    while (Pos <= Raw.size()) {
-      const size_t Comma = Raw.find(',', Pos);
-      Algos.push_back(Raw.substr(
-          Pos, Comma == std::string::npos ? Comma : Comma - Pos));
-      if (Comma == std::string::npos)
-        break;
-      Pos = Comma + 1;
-    }
-  }
-
-  WorkloadConfig Base;
+  WorkloadConfig Base = windowFromFlags(Flags);
   Base.UpdatePercent =
       static_cast<unsigned>(Flags.getInt("update-percent"));
   Base.KeyRange = Flags.getInt("range");
-  Base.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
-  Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-  Base.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-  Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
   std::printf("fig1: %u%% updates, key range %lld (expected list size "
               "~%lld)\n",
               Base.UpdatePercent, static_cast<long long>(Base.KeyRange),
               static_cast<long long>(Base.KeyRange / 2));
 
-  Panel P("Fig.1 20% updates, range 50", Algos,
+  Panel P("Fig.1 20% updates, range 50", Flags.getStringList("algos"),
           Flags.getUnsignedList("threads"));
   P.measureAll(Base);
   P.print();

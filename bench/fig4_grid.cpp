@@ -48,14 +48,9 @@ int main(int Argc, char **Argv) {
 
   for (unsigned Update : Flags.getUnsignedList("updates")) {
     for (unsigned Range : Flags.getUnsignedList("ranges")) {
-      WorkloadConfig Base;
+      WorkloadConfig Base = windowFromFlags(Flags);
       Base.UpdatePercent = Update;
       Base.KeyRange = Range;
-      Base.DurationMs =
-          static_cast<unsigned>(Flags.getInt("duration-ms"));
-      Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-      Base.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-      Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
       char Title[96];
       std::snprintf(Title, sizeof(Title),

@@ -19,15 +19,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/BenchJson.h"
-#include "harness/TablePrinter.h"
-#include "support/Barrier.h"
 #include "support/CommandLine.h"
-#include "support/Stats.h"
 #include "support/Timing.h"
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace vbl;
@@ -35,108 +31,48 @@ using namespace vbl::harness;
 
 namespace {
 
-/// One fill-or-drain phase's op mix: 10% contains, 80% toward the
-/// phase's direction, 10% against it (so the drained table never goes
-/// exactly empty and the fill keeps probing absent keys).
-SetOp pickPhaseOp(Xoshiro256 &Rng, bool Fill) {
-  const uint64_t Roll = Rng.nextBounded(100);
-  if (Roll < 10)
-    return SetOp::Contains;
-  if (Fill)
-    return Roll < 90 ? SetOp::Insert : SetOp::Remove;
-  return Roll < 90 ? SetOp::Remove : SetOp::Insert;
-}
+/// The grow/shrink phased workload the steady-state mix cannot express:
+/// every worker alternates insert-heavy fill phases with remove-heavy
+/// drain phases on a wall-clock grid that starts at its first op
+/// (phase index = elapsed / PhaseMs), so the whole table inflates and
+/// deflates together. The index rides it down every drain and back up
+/// every fill, which is exactly the regime the resize machinery — and
+/// its cost — is for. A phase's mix is 10% contains, 80% toward the
+/// phase's direction and 10% against it (so the drained table never
+/// goes exactly empty and the fill keeps probing absent keys).
+class PhasedSource {
+public:
+  PhasedSource(SetKey Range, unsigned PhaseMs)
+      : Range(static_cast<uint64_t>(Range)),
+        PhaseNs(uint64_t{PhaseMs} * 1000000ULL) {}
 
-/// The grow/shrink phased workload the steady-state harness cannot
-/// express: every thread alternates insert-heavy fill phases with
-/// remove-heavy drain phases on a shared wall-clock grid (phase index =
-/// elapsed / PhaseMs), so the whole table inflates and deflates
-/// together. The index rides it down every drain and back up every
-/// fill, which is exactly the regime the resize machinery — and its
-/// cost — is for.
-double runPhased(ConcurrentSet &Set, unsigned Threads, SetKey Range,
-                 unsigned PhaseMs, unsigned Phases, uint64_t Seed) {
-  const uint64_t WindowNs = uint64_t{PhaseMs} * Phases * 1000000ULL;
-  SpinBarrier Barrier(Threads);
-  std::vector<std::thread> Workers;
-  std::vector<uint64_t> Ops(Threads, 0);
-  Workers.reserve(Threads);
-  for (unsigned T = 0; T != Threads; ++T) {
-    Workers.emplace_back([&, T] {
-      Xoshiro256 Rng(Seed + 0x9e3779b9ULL * (T + 1));
-      Barrier.arriveAndWait();
-      const uint64_t Start = nowNanos();
-      uint64_t Local = 0;
-      bool Fill = true;
-      for (;;) {
-        // Re-read the clock every 64 ops: cheap enough to keep the
-        // phase grid tight at benchmark op rates.
-        const uint64_t Elapsed = nowNanos() - Start;
-        if (Elapsed >= WindowNs)
-          break;
-        Fill = ((Elapsed / 1000000ULL) / PhaseMs) % 2 == 0;
-        for (int I = 0; I != 64; ++I) {
-          const SetKey Key = Rng.nextBounded(Range);
-          switch (pickPhaseOp(Rng, Fill)) {
-          case SetOp::Insert:
-            Set.insert(Key);
-            break;
-          case SetOp::Remove:
-            Set.remove(Key);
-            break;
-          default:
-            Set.contains(Key);
-            break;
-          }
-          ++Local;
-        }
-      }
-      Ops[T] = Local;
-    });
-  }
-  for (std::thread &Worker : Workers)
-    Worker.join();
-  uint64_t Total = 0;
-  for (uint64_t N : Ops)
-    Total += N;
-  return static_cast<double>(Total) / (WindowNs * 1e-9);
-}
-
-/// Repeats runPhased on fresh structures and reports the median point
-/// (mirroring measurePoint's protocol), with the resize counter delta
-/// attached under --stats.
-BenchRecord measurePhased(const std::string &Structure, unsigned Threads,
-                          SetKey Range, unsigned PhaseMs, unsigned Phases,
-                          unsigned Repeats, uint64_t Seed) {
-  BenchRecord Record;
-  Record.Bench = "hashset_phased";
-  Record.Structure = Structure;
-  Record.Threads = Threads;
-  Record.KeyRange = Range;
-  Record.UpdatePercent = 90; // the per-phase update rate
-  Record.Repeats = Repeats;
-
-  const stats::Snapshot Before = stats::snapshotAll();
-  SampleStats Throughput;
-  for (unsigned R = 0; R != Repeats; ++R) {
-    auto Set = makeSet(Structure);
-    if (!Set) {
-      std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                   Structure.c_str());
-      std::abort();
+  SetOp operator()(ConcurrentSet &Set, Xoshiro256 &Rng) {
+    // Re-read the clock every 64 ops: cheap enough to keep the phase
+    // grid tight at benchmark op rates.
+    if (Ops++ % 64 == 0) {
+      const uint64_t Now = nowNanos();
+      if (Start == 0)
+        Start = Now;
+      Fill = ((Now - Start) / PhaseNs) % 2 == 0;
     }
-    prefill(*Set, Range, Seed + R);
-    Throughput.add(
-        runPhased(*Set, Threads, Range, PhaseMs, Phases, Seed + R));
+    const SetKey Key = static_cast<SetKey>(Rng.nextBounded(Range));
+    const uint64_t Roll = Rng.nextBounded(100);
+    const SetOp Toward = Fill ? SetOp::Insert : SetOp::Remove;
+    const SetOp Against = Fill ? SetOp::Remove : SetOp::Insert;
+    return applyOp(Set,
+                   Roll < 10   ? SetOp::Contains
+                   : Roll < 90 ? Toward
+                               : Against,
+                   Key);
   }
-  Record.ThroughputOpsPerSec = Throughput.percentile(50);
-  Record.ThroughputStddev = Throughput.stddev();
-  if (statsCollectionEnabled()) {
-    Record.HasStats = true;
-    Record.Stats = stats::snapshotAll().delta(Before);
-  }
-  return Record;
-}
+
+private:
+  uint64_t Range;
+  uint64_t PhaseNs;
+  uint64_t Start = 0;
+  uint64_t Ops = 0;
+  bool Fill = true;
+};
 
 } // namespace
 
@@ -181,16 +117,11 @@ int main(int Argc, char **Argv) {
       std::printf(" %16s", Structure.c_str());
     std::printf(" %14s\n", "so-vbl/vbl");
     for (unsigned Range : Flags.getUnsignedList("ranges")) {
-      WorkloadConfig Config;
+      WorkloadConfig Config = windowFromFlags(Flags);
       Config.UpdatePercent =
           static_cast<unsigned>(Flags.getInt("update-percent"));
       Config.KeyRange = Range;
       Config.Threads = Threads;
-      Config.DurationMs =
-          static_cast<unsigned>(Flags.getInt("duration-ms"));
-      Config.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-      Config.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-      Config.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
       std::printf("%10u", Range);
       double FlatVbl = 0.0;
@@ -223,22 +154,28 @@ int main(int Argc, char **Argv) {
   }
 
   if (Flags.getBool("phased")) {
-    const SetKey Range =
-        static_cast<SetKey>(Flags.getInt("phased-range"));
     const unsigned PhaseMs = static_cast<unsigned>(Flags.getInt("phase-ms"));
     const unsigned Phases = static_cast<unsigned>(Flags.getInt("phases"));
-    const unsigned Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-    const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
+    WorkloadConfig Config = windowFromFlags(Flags);
+    Config.UpdatePercent = 90; // the per-phase update rate
+    Config.KeyRange = static_cast<SetKey>(Flags.getInt("phased-range"));
+    Config.DurationMs = PhaseMs * Phases;
+    // No warm-up: the fill/drain grid starts with the window, so the
+    // window holds every phase.
+    Config.WarmupMs = 0;
+    const PhasedSource Source(Config.KeyRange, PhaseMs);
     const std::vector<std::string> Phased = {"so-hash-vbl-resize",
                                              "so-hash-hm-resize"};
     for (unsigned Threads : Flags.getUnsignedList("threads")) {
       std::printf("\n== hashset_phased: %u thread(s), range %llu, "
                   "%u x %u ms fill/drain phases ==\n",
-                  Threads, static_cast<unsigned long long>(Range), Phases,
-                  PhaseMs);
+                  Threads, static_cast<unsigned long long>(Config.KeyRange),
+                  Phases, PhaseMs);
+      Config.Threads = Threads;
       for (const std::string &Structure : Phased) {
-        const BenchRecord Record = measurePhased(
-            Structure, Threads, Range, PhaseMs, Phases, Repeats, Seed);
+        const BenchRecord Record =
+            measurePoint("hashset_phased", Structure, Config, Source,
+                         /*WithLatency=*/false);
         std::printf("%22s %12.3f Mops\n", Structure.c_str(),
                     Record.ThroughputOpsPerSec * 1e-6);
         Report.add(Record);

@@ -18,6 +18,7 @@
 #include "support/CommandLine.h"
 
 #include <cstdio>
+#include <memory>
 
 using namespace vbl;
 using namespace vbl::harness;
@@ -40,8 +41,8 @@ int main(int Argc, char **Argv) {
   Flags.addInt("range", 50, "key range");
   Flags.addInt("update-percent", 20, "percentage of updates");
   Flags.addInt("duration-ms", 120, "measured window");
-  Flags.addString("algos", "vbl,lazy,harris-michael",
-                  "comma-separated algorithms");
+  Flags.addStringList("algos", {"vbl", "lazy", "harris-michael"},
+                      "comma-separated algorithms");
   Flags.addInt("seed", 42, "base RNG seed");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
@@ -49,20 +50,6 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
   setStatsCollection(Flags.getBool("stats"));
-
-  std::vector<std::string> Algos;
-  {
-    const std::string &Raw = Flags.getString("algos");
-    size_t Pos = 0;
-    while (Pos <= Raw.size()) {
-      const size_t Comma = Raw.find(',', Pos);
-      Algos.push_back(Raw.substr(
-          Pos, Comma == std::string::npos ? Comma : Comma - Pos));
-      if (Comma == std::string::npos)
-        break;
-      Pos = Comma + 1;
-    }
-  }
 
   harness::BenchJsonReport Report;
   Report.setContext("bench_binary", "latency_profile");
@@ -72,7 +59,7 @@ int main(int Argc, char **Argv) {
                 Threads,
                 static_cast<long long>(Flags.getInt("update-percent")),
                 static_cast<long long>(Flags.getInt("range")));
-    for (const std::string &Algo : Algos) {
+    for (const std::string &Algo : Flags.getStringList("algos")) {
       WorkloadConfig Config;
       Config.UpdatePercent =
           static_cast<unsigned>(Flags.getInt("update-percent"));
@@ -80,27 +67,17 @@ int main(int Argc, char **Argv) {
       Config.Threads = Threads;
       Config.DurationMs =
           static_cast<unsigned>(Flags.getInt("duration-ms"));
-      Config.WarmupMs = 0; // Latency run: warmup folded into window.
+      Config.WarmupMs = 0; // No warm-up flag: the window starts at once.
       Config.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
-      auto Set = makeSet(Algo);
-      if (!Set) {
-        std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                     Algo.c_str());
-        return 1;
-      }
-      prefill(*Set, Config.KeyRange, Config.Seed);
+      const std::unique_ptr<ConcurrentSet> Set =
+          makePrefilledSet(Algo, Config);
       LatencyProfile Profile;
       // This bench bypasses measureAlgorithm, so it brackets the
       // window with its own snapshots.
-      const stats::Snapshot StatsBefore =
-          statsCollectionEnabled() ? stats::snapshotAll()
-                                   : stats::Snapshot();
-      const RunResult Result = runOnceLatency(*Set, Config, Profile);
-      const stats::Snapshot StatsDelta =
-          statsCollectionEnabled()
-              ? stats::snapshotAll().delta(StatsBefore)
-              : stats::Snapshot();
+      const stats::Snapshot StatsMark = statsMark();
+      const RunResult Result = runOnce(*Set, Config, &Profile);
+      const stats::Snapshot StatsDelta = statsSince(StatsMark);
       if (!Result.InvariantsHeld) {
         std::fprintf(stderr, "error: %s corrupted its structure\n",
                      Algo.c_str());
@@ -115,7 +92,8 @@ int main(int Argc, char **Argv) {
                    stdout);
 
       // One record per operation kind: the throughput is the window's
-      // (instrumented) rate, the latency percentiles are the payload.
+      // (instrumented) rate over every op it ran, the latency
+      // percentiles are the payload.
       const std::pair<const char *, const SampleStats *> Ops[] = {
           {"contains", &Profile.Contains},
           {"insert", &Profile.Insert},
@@ -132,10 +110,7 @@ int main(int Argc, char **Argv) {
         Record.UpdatePercent = Config.UpdatePercent;
         Record.Repeats = 1;
         Record.ThroughputOpsPerSec = Result.OpsPerSecond;
-        Record.HasLatency = true;
-        Record.P50LatencyNs = Stats->percentile(50);
-        Record.P99LatencyNs = Stats->percentile(99);
-        Record.P999LatencyNs = Stats->percentile(99.9);
+        Record.setLatency(*Stats);
         // The three per-op records describe one shared window (see
         // ThroughputOpsPerSec above), so they share its delta too.
         if (!StatsDelta.empty()) {

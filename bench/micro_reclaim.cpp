@@ -30,14 +30,11 @@
 #include "reclaim/NodePool.h"
 #include "reclaim/VbrDomain.h"
 #include "support/CommandLine.h"
-#include "support/Stats.h"
 
 #include <chrono>
 #include <cstdio>
 #include <new>
 #include <string>
-#include <thread>
-#include <vector>
 
 using namespace vbl;
 using namespace vbl::harness;
@@ -50,15 +47,18 @@ template <class T> inline void doNotOptimize(T const &Value) {
   asm volatile("" : : "r,m"(Value) : "memory");
 }
 
-/// Times \p Body (one primitive op per call) in windows of \p DurationMs,
-/// \p Repeats times; returns ops/second samples.
+/// Times \p Body (one primitive op per call) in Window.Repeats windows
+/// of Window.DurationMs; returns ops/second samples. Runs on the calling
+/// thread rather than in a runWindow worker: guard/epoch_nested and
+/// protect/hazard time their primitive inside a guard the caller holds,
+/// and a guard belongs to the thread that entered it.
 template <class F>
-SampleStats measureLoop(unsigned Repeats, unsigned DurationMs, F &&Body) {
+SampleStats measureLoop(const WorkloadConfig &Window, F &&Body) {
   using Clock = std::chrono::steady_clock;
   SampleStats Stats;
-  for (unsigned Rep = 0; Rep != Repeats; ++Rep) {
+  for (unsigned Rep = 0; Rep != Window.Repeats; ++Rep) {
     const auto Deadline =
-        Clock::now() + std::chrono::milliseconds(DurationMs);
+        Clock::now() + std::chrono::milliseconds(Window.DurationMs);
     uint64_t Ops = 0;
     const auto Start = Clock::now();
     auto Now = Start;
@@ -76,41 +76,27 @@ SampleStats measureLoop(unsigned Repeats, unsigned DurationMs, F &&Body) {
 }
 
 /// Multi-threaded variant: \p Threads workers hammer \p Body
-/// concurrently; the sample is the combined ops/second.
+/// concurrently through one window per repeat (no warm-up); the sample
+/// is the combined ops/second.
 template <class F>
-SampleStats measureLoopMt(unsigned Repeats, unsigned DurationMs,
-                          unsigned Threads, F &&Body) {
-  using Clock = std::chrono::steady_clock;
+SampleStats measureThreads(const WorkloadConfig &Window, unsigned Threads,
+                           const F &Body) {
   SampleStats Stats;
-  for (unsigned Rep = 0; Rep != Repeats; ++Rep) {
-    std::atomic<bool> Go{false};
-    std::atomic<bool> Stop{false};
-    std::atomic<uint64_t> TotalOps{0};
-    std::vector<std::thread> Workers;
-    for (unsigned T = 0; T != Threads; ++T) {
-      Workers.emplace_back([&] {
-        while (!Go.load(std::memory_order_acquire))
-          std::this_thread::yield();
-        uint64_t Ops = 0;
-        while (!Stop.load(std::memory_order_acquire)) {
-          for (int I = 0; I != 256; ++I)
-            Body();
-          Ops += 256;
-        }
-        TotalOps.fetch_add(Ops, std::memory_order_relaxed);
-      });
-    }
-    const auto Start = Clock::now();
-    Go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::milliseconds(DurationMs));
-    Stop.store(true, std::memory_order_release);
-    for (auto &W : Workers)
-      W.join();
-    const double Seconds =
-        std::chrono::duration<double>(Clock::now() - Start).count();
-    Stats.add(static_cast<double>(TotalOps.load(std::memory_order_relaxed)) /
-              Seconds);
-  }
+  for (unsigned Rep = 0; Rep != Window.Repeats; ++Rep)
+    Stats.add(runWindow(Threads, /*WarmupMs=*/0, Window.DurationMs,
+                        [&](unsigned, const StageFlag &Flag) {
+                          // A worker-local copy: its captures stay in
+                          // registers across doNotOptimize's clobber.
+                          F Mine = Body;
+                          uint64_t Ops = 0;
+                          while (Flag.current() != Stage::Stop) {
+                            for (int I = 0; I != 256; ++I)
+                              Mine();
+                            Ops += 256;
+                          }
+                          return Ops;
+                        })
+                  .OpsPerSecond);
   return Stats;
 }
 
@@ -131,20 +117,6 @@ void report(BenchJsonReport &Report, const std::string &Structure,
   Report.add(Record);
 }
 
-std::vector<std::string> splitCsv(const std::string &Raw) {
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= Raw.size()) {
-    const size_t Comma = Raw.find(',', Pos);
-    Out.push_back(
-        Raw.substr(Pos, Comma == std::string::npos ? Comma : Comma - Pos));
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return Out;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -161,10 +133,10 @@ int main(int Argc, char **Argv) {
   // the domain's own free lists, so the pool-vs-bypass ratio should sit
   // near 1.0 — a drift there means fresh allocations crept back into
   // the steady state.
-  Flags.addString("churn-algos", "vbl,vbl-vbr,harris-michael",
-                  "list algorithms measured pool-vs-bypass");
-  Flags.addString("churn-ranges", "128,1024",
-                  "key ranges for the churn workloads");
+  Flags.addStringList("churn-algos", {"vbl", "vbl-vbr", "harris-michael"},
+                      "list algorithms measured pool-vs-bypass");
+  Flags.addUnsignedList("churn-ranges", {128, 1024},
+                        "key ranges for the churn workloads");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
                 "collect internal counters and report them per structure");
@@ -172,22 +144,20 @@ int main(int Argc, char **Argv) {
     return 1;
   setStatsCollection(Flags.getBool("stats"));
 
-  const unsigned DurationMs =
-      static_cast<unsigned>(Flags.getInt("duration-ms"));
-  const unsigned Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
+  WorkloadConfig Base = windowFromFlags(Flags);
 
   BenchJsonReport Report;
   Report.setContext("bench_binary", "micro_reclaim");
   Report.setContext("pool_bypassed_by_default",
                     NodePool::bypassed() ? "1" : "0");
 
-  std::printf("reclamation primitives (%u ms x %u repeats):\n", DurationMs,
-              Repeats);
+  std::printf("reclamation primitives (%u ms x %u repeats):\n",
+              Base.DurationMs, Base.Repeats);
 
   {
     LeakyDomain Domain;
     report(Report, "guard/leaky", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              LeakyDomain::Guard G(Domain);
              doNotOptimize(G);
            }));
@@ -195,7 +165,7 @@ int main(int Argc, char **Argv) {
   {
     EpochDomain Domain;
     report(Report, "guard/epoch", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              EpochDomain::Guard G(Domain);
              doNotOptimize(G);
            }));
@@ -204,7 +174,7 @@ int main(int Argc, char **Argv) {
     EpochDomain Domain;
     EpochDomain::Guard Outer(Domain);
     report(Report, "guard/epoch_nested", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              EpochDomain::Guard Inner(Domain);
              doNotOptimize(Inner);
            }));
@@ -212,7 +182,7 @@ int main(int Argc, char **Argv) {
   {
     EpochDomain Domain;
     report(Report, "guard/epoch_mt", 4,
-           measureLoopMt(Repeats, DurationMs, 4, [&] {
+           measureThreads(Base, 4, [&] {
              EpochDomain::Guard G(Domain);
              doNotOptimize(G);
            }));
@@ -223,7 +193,7 @@ int main(int Argc, char **Argv) {
     // versus the epoch guard above.
     VbrDomain Domain;
     report(Report, "guard/vbr", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              VbrDomain::Guard G(Domain);
              doNotOptimize(G.version());
            }));
@@ -233,7 +203,7 @@ int main(int Argc, char **Argv) {
     // should scale where guard/epoch_mt pays announce-slot traffic.
     VbrDomain Domain;
     report(Report, "guard/vbr_mt", 4,
-           measureLoopMt(Repeats, DurationMs, 4, [&] {
+           measureThreads(Base, 4, [&] {
              VbrDomain::Guard G(Domain);
              doNotOptimize(G.version());
            }));
@@ -244,7 +214,7 @@ int main(int Argc, char **Argv) {
     {
       HazardPointerDomain::Guard G(Domain);
       report(Report, "protect/hazard", 1,
-             measureLoop(Repeats, DurationMs, [&] {
+             measureLoop(Base, [&] {
                int *P = G.protect(0, Source);
                doNotOptimize(P);
              }));
@@ -257,7 +227,7 @@ int main(int Argc, char **Argv) {
     // pathological pattern, not the one the lists use (guard per op).
     EpochDomain Domain;
     report(Report, "retire/epoch", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              EpochDomain::Guard G(Domain);
              Domain.retire(new int(1));
            }));
@@ -267,7 +237,7 @@ int main(int Argc, char **Argv) {
     // elapse, every allocation is a recycled block.
     EpochDomain Domain;
     report(Report, "retire/epoch_pooled", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              EpochDomain::Guard G(Domain);
              poolRetire(Domain, poolCreate<int>(1));
            }));
@@ -275,7 +245,7 @@ int main(int Argc, char **Argv) {
   {
     HazardPointerDomain Domain;
     report(Report, "retire/hazard", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              Domain.retire(new int(1));
            }));
   }
@@ -286,7 +256,7 @@ int main(int Argc, char **Argv) {
     // retire stamp plus a free-list pop/push, no grace period.
     VbrDomain Domain;
     report(Report, "retire/vbr", 1,
-           measureLoop(Repeats, DurationMs, [&] {
+           measureLoop(Base, [&] {
              bool Fresh = false;
              void *Mem = Domain.allocBlockFor<int>(Fresh);
              int *P = Fresh ? ::new (Mem) int(1)
@@ -299,22 +269,16 @@ int main(int Argc, char **Argv) {
   // ScopedBypass scope contains the whole measurement — the list (and
   // every node it allocates) is created and destroyed inside it, which
   // is the containment rule the bypass requires.
-  WorkloadConfig Base;
   Base.UpdatePercent =
       static_cast<unsigned>(Flags.getInt("update-percent"));
-  Base.DurationMs = DurationMs;
-  Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-  Base.Repeats = Repeats;
-  Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
   std::printf("list churn, %u%% updates, pool vs bypass:\n",
               Base.UpdatePercent);
-  for (const std::string &Algo : splitCsv(Flags.getString("churn-algos"))) {
-    for (const std::string &RangeStr :
-         splitCsv(Flags.getString("churn-ranges"))) {
+  for (const std::string &Algo : Flags.getStringList("churn-algos")) {
+    for (unsigned Range : Flags.getUnsignedList("churn-ranges")) {
       for (unsigned Threads : Flags.getUnsignedList("churn-threads")) {
         WorkloadConfig Config = Base;
-        Config.KeyRange = std::stoll(RangeStr);
+        Config.KeyRange = Range;
         Config.Threads = Threads;
 
         BenchRecord Pooled =
@@ -351,8 +315,8 @@ int main(int Argc, char **Argv) {
   }
 
   if (!Flags.getString("json").empty()) {
-    Report.setContext("duration_ms", std::to_string(DurationMs));
-    Report.setContext("repeats", std::to_string(Repeats));
+    Report.setContext("duration_ms", std::to_string(Base.DurationMs));
+    Report.setContext("repeats", std::to_string(Base.Repeats));
     if (!Report.writeFile(Flags.getString("json")))
       return 1;
   }

@@ -42,13 +42,9 @@ int main(int Argc, char **Argv) {
   Report.setContext("bench_binary", "readonly_traversal");
 
   for (unsigned Range : Flags.getUnsignedList("ranges")) {
-    WorkloadConfig Base;
+    WorkloadConfig Base = windowFromFlags(Flags);
     Base.UpdatePercent = 0;
     Base.KeyRange = Range;
-    Base.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
-    Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-    Base.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-    Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
     char Title[96];
     std::snprintf(Title, sizeof(Title),

@@ -45,14 +45,10 @@ int main(int Argc, char **Argv) {
     return 1;
   setStatsCollection(Flags.getBool("stats"));
 
-  WorkloadConfig Base;
+  WorkloadConfig Base = windowFromFlags(Flags);
   Base.UpdatePercent =
       static_cast<unsigned>(Flags.getInt("update-percent"));
   Base.KeyRange = Flags.getInt("range");
-  Base.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
-  Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-  Base.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-  Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
   // Leaky first in every panel: it is the no-reclamation ceiling the
   // managed domains are measured against. HP only exists for

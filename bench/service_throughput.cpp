@@ -26,13 +26,11 @@
 #include "service/ShardedSet.h"
 #include "service/TrafficGen.h"
 #include "support/CommandLine.h"
+#include "support/Timing.h"
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace vbl;
@@ -41,32 +39,10 @@ using namespace vbl::service;
 
 namespace {
 
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::vector<std::string> splitCsv(const std::string &Raw) {
-  std::vector<std::string> Parts;
-  size_t Pos = 0;
-  while (Pos <= Raw.size()) {
-    const size_t Comma = Raw.find(',', Pos);
-    const std::string Part = Raw.substr(
-        Pos, Comma == std::string::npos ? Comma : Comma - Pos);
-    if (!Part.empty())
-      Parts.push_back(Part);
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return Parts;
-}
-
-/// "pct:ops,pct:ops,..." -> cyclic update-mix phases.
-bool parsePhases(const std::string &Raw, std::vector<MixPhase> &Out) {
-  for (const std::string &Part : splitCsv(Raw)) {
+/// "pct:ops" parts of --mix-phases -> cyclic update-mix phases.
+bool parsePhases(const std::vector<std::string> &Parts,
+                 std::vector<MixPhase> &Out) {
+  for (const std::string &Part : Parts) {
     const size_t Colon = Part.find(':');
     if (Colon == std::string::npos)
       return false;
@@ -109,14 +85,11 @@ struct PointResult {
 
 struct RunConfig {
   TrafficConfig Traffic;
-  unsigned Threads = 2;
-  unsigned DurationMs = 120;
-  unsigned WarmupMs = 40;
-  unsigned Repeats = 3;
+  WorkloadConfig Window; // threads, window, repeats and seed
 };
 
 /// One repetition: fresh front-end, prefilled, driven by one session
-/// per worker for warmup + measured window.
+/// per worker through one measurement window.
 void runRepeat(const ShardedSet::Options &Opts, const RunConfig &Run,
                uint64_t Seed, PointResult &Result) {
   std::string Error;
@@ -130,74 +103,58 @@ void runRepeat(const ShardedSet::Options &Opts, const RunConfig &Run,
   // Samples per worker are capped; ops past the cap still count for
   // throughput but stop stamping tags.
   constexpr size_t MaxSamplesPerWorker = 1u << 20;
-  std::atomic<int> Phase{0}; // 0 warmup, 1 measured, 2 stop
-  std::vector<uint64_t> Ops(Run.Threads, 0);
-  std::vector<std::vector<double>> Samples(Run.Threads);
-  std::vector<std::thread> Workers;
-  Workers.reserve(Run.Threads);
-
-  for (unsigned W = 0; W != Run.Threads; ++W) {
-    Workers.emplace_back([&, W] {
-      TrafficConfig Cfg = Run.Traffic;
-      Cfg.Seed = Seed;
-      TrafficGen Gen(Cfg, W, Run.Threads);
-      ShardedSet::Session Session = Front->openSession();
-      std::vector<double> &MySamples = Samples[W];
-      MySamples.reserve(1u << 14);
-      uint64_t Measured = 0;
-      uint64_t NextArrival = 0; // open-loop pacing when gaps > 0
-      const bool OpenLoop = Cfg.Arrivals.MeanGapNs > 0.0;
-      for (;;) {
-        const int P = Phase.load(std::memory_order_relaxed);
-        if (P == 2)
-          break;
-        const TrafficGen::Item It = Gen.next();
-        if (OpenLoop) {
-          // Arrival clock: never submit before the op's arrival time;
-          // a backlogged worker (NextArrival in the past) submits
-          // immediately and the dwell shows up in the latency tail.
-          NextArrival = (NextArrival ? NextArrival : nowNs()) +
-                        It.ArrivalGapNs;
-          while (nowNs() < NextArrival &&
-                 Phase.load(std::memory_order_relaxed) != 2) {
+  std::vector<std::vector<double>> Samples(Run.Window.Threads);
+  const RunResult Window = runWindow(
+      Run.Window.Threads, Run.Window.WarmupMs, Run.Window.DurationMs,
+      [&](unsigned W, const StageFlag &Flag) {
+        TrafficConfig Cfg = Run.Traffic;
+        Cfg.Seed = Seed;
+        TrafficGen Gen(Cfg, W, Run.Window.Threads);
+        ShardedSet::Session Session = Front->openSession();
+        std::vector<double> &MySamples = Samples[W];
+        MySamples.reserve(1u << 14);
+        uint64_t Measured = 0;
+        uint64_t NextArrival = 0; // open-loop pacing when gaps > 0
+        const bool OpenLoop = Cfg.Arrivals.MeanGapNs > 0.0;
+        for (;;) {
+          const Stage Now = Flag.current();
+          if (Now == Stage::Stop)
+            break;
+          const TrafficGen::Item It = Gen.next();
+          if (OpenLoop) {
+            // Arrival clock: never submit before the op's arrival
+            // time; a backlogged worker (NextArrival in the past)
+            // submits immediately and the dwell shows up in the
+            // latency tail.
+            NextArrival = (NextArrival ? NextArrival : nowNanos()) +
+                          It.ArrivalGapNs;
+            while (nowNanos() < NextArrival &&
+                   Flag.current() != Stage::Stop) {
+            }
+          }
+          const bool Stamp = Now == Stage::Measure &&
+                             MySamples.size() < MaxSamplesPerWorker;
+          Session.enqueue(It.Op, It.Key, Stamp ? nowNanos() : 0);
+          for (const BatchOp &Done : Session.takeCompleted()) {
+            if (Now == Stage::Measure)
+              ++Measured;
+            if (Done.Tag)
+              MySamples.push_back(
+                  static_cast<double>(nowNanos() - Done.Tag));
           }
         }
-        const bool Stamp =
-            P == 1 && MySamples.size() < MaxSamplesPerWorker;
-        Session.enqueue(It.Op, It.Key, Stamp ? nowNs() : 0);
-        for (const BatchOp &Done : Session.takeCompleted()) {
-          if (P == 1)
-            ++Measured;
+        // Drain the queues: dwell of already-stamped ops still belongs
+        // in the tail, but completions past the window don't count
+        // toward throughput.
+        Session.flush();
+        for (const BatchOp &Done : Session.takeCompleted())
           if (Done.Tag)
             MySamples.push_back(
-                static_cast<double>(nowNs() - Done.Tag));
-        }
-      }
-      // Drain the queues: dwell of already-stamped ops still belongs
-      // in the tail, but completions past the window don't count
-      // toward throughput.
-      Session.flush();
-      for (const BatchOp &Done : Session.takeCompleted())
-        if (Done.Tag)
-          MySamples.push_back(static_cast<double>(nowNs() - Done.Tag));
-      Ops[W] = Measured;
-    });
-  }
+                static_cast<double>(nowNanos() - Done.Tag));
+        return Measured;
+      });
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(Run.WarmupMs));
-  Phase.store(1, std::memory_order_relaxed);
-  const uint64_t T0 = nowNs();
-  std::this_thread::sleep_for(std::chrono::milliseconds(Run.DurationMs));
-  Phase.store(2, std::memory_order_relaxed);
-  const uint64_t T1 = nowNs();
-  for (std::thread &T : Workers)
-    T.join();
-
-  uint64_t Total = 0;
-  for (uint64_t N : Ops)
-    Total += N;
-  const double Seconds = static_cast<double>(T1 - T0) * 1e-9;
-  Result.Throughput.add(static_cast<double>(Total) / Seconds);
+  Result.Throughput.add(Window.OpsPerSecond);
   for (const std::vector<double> &S : Samples)
     for (double V : S)
       Result.Latency.add(V);
@@ -215,16 +172,18 @@ void listBackends() {
 
 int main(int Argc, char **Argv) {
   FlagSet Flags("Sharded serving front-end under skewed traffic");
-  Flags.addString("backends", "vbl", "comma-separated backend names");
+  Flags.addStringList("backends", {"vbl"},
+                      "comma-separated backend names");
   Flags.addUnsignedList("threads", {2, 8}, "worker thread counts");
   Flags.addInt("shards", 8, "shards per front-end");
-  Flags.addString("theta", "0,0.99", "comma-separated Zipfian exponents");
+  Flags.addStringList("theta", {"0", "0.99"},
+                      "comma-separated Zipfian exponents");
   Flags.addInt("update-percent", 20, "percentage of updates");
   Flags.addInt("range", 16384, "key range");
   Flags.addInt("sessions", 4096, "simulated client sessions (total)");
   Flags.addInt("batch", 16, "ops per (session, shard) batch");
-  Flags.addString("modes", "direct,batch,combine-batch",
-                  "disciplines: direct,batch,combine,combine-batch");
+  Flags.addStringList("modes", {"direct", "batch", "combine-batch"},
+                      "disciplines: direct,batch,combine,combine-batch");
   Flags.addInt("duration-ms", 120, "measured window");
   Flags.addInt("warmup-ms", 40, "unmeasured warmup");
   Flags.addInt("repeats", 3, "repetitions per point");
@@ -234,8 +193,8 @@ int main(int Argc, char **Argv) {
   Flags.addInt("burst-factor", 1, "burst-phase rate multiplier");
   Flags.addInt("burst-ops", 0, "arrivals per burst phase");
   Flags.addInt("calm-ops", 0, "arrivals per calm phase");
-  Flags.addString("mix-phases", "",
-                  "cyclic update mix, \"pct:ops,pct:ops,...\"");
+  Flags.addStringList("mix-phases", {},
+                      "cyclic update mix, \"pct:ops,pct:ops,...\"");
   Flags.addBool("scramble", false, "hash Zipfian ranks over the range");
   Flags.addString("json", "", "optional path for vbl-bench-v1 records");
   Flags.addBool("stats", false,
@@ -254,7 +213,7 @@ int main(int Argc, char **Argv) {
   const unsigned Batch =
       static_cast<unsigned>(Flags.getInt("batch"));
   std::vector<ModeSpec> Modes;
-  for (const std::string &M : splitCsv(Flags.getString("modes"))) {
+  for (const std::string &M : Flags.getStringList("modes")) {
     ModeSpec Spec;
     if (!parseMode(M, Batch, Spec)) {
       std::fprintf(stderr, "error: unknown mode '%s'\n", M.c_str());
@@ -263,18 +222,16 @@ int main(int Argc, char **Argv) {
     Modes.push_back(Spec);
   }
   std::vector<double> Thetas;
-  for (const std::string &T : splitCsv(Flags.getString("theta")))
+  for (const std::string &T : Flags.getStringList("theta"))
     Thetas.push_back(std::strtod(T.c_str(), nullptr));
   std::vector<MixPhase> Phases;
-  if (!parsePhases(Flags.getString("mix-phases"), Phases)) {
+  if (!parsePhases(Flags.getStringList("mix-phases"), Phases)) {
     std::fprintf(stderr, "error: bad --mix-phases\n");
     return 1;
   }
 
   RunConfig Run;
-  Run.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
-  Run.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-  Run.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
+  Run.Window = windowFromFlags(Flags);
   Run.Traffic.KeyRange = Flags.getInt("range");
   Run.Traffic.Sessions =
       static_cast<uint64_t>(Flags.getInt("sessions"));
@@ -299,8 +256,7 @@ int main(int Argc, char **Argv) {
 
   std::printf("%-42s %8s %12s %9s %9s %9s\n", "structure", "threads",
               "ops/s", "p50(ns)", "p99(ns)", "p999(ns)");
-  for (const std::string &Backend :
-       splitCsv(Flags.getString("backends"))) {
+  for (const std::string &Backend : Flags.getStringList("backends")) {
     for (double Theta : Thetas) {
       for (const ModeSpec &Mode : Modes) {
         for (unsigned Threads : Flags.getUnsignedList("threads")) {
@@ -310,7 +266,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned>(Flags.getInt("shards"));
           Opts.BatchSize = Mode.BatchSize;
           Opts.Combine = Mode.Combine;
-          Run.Threads = Threads;
+          Run.Window.Threads = Threads;
           Run.Traffic.Theta = Theta;
 
           char ThetaBuf[32];
@@ -318,19 +274,11 @@ int main(int Argc, char **Argv) {
           const std::string Structure =
               Backend + "/z" + ThetaBuf + "/" + Mode.Name;
 
-          const stats::Snapshot Before =
-              statsCollectionEnabled() ? stats::snapshotAll()
-                                       : stats::Snapshot();
+          const stats::Snapshot StatsMark = statsMark();
           PointResult Point;
-          for (unsigned R = 0; R != Run.Repeats; ++R)
-            runRepeat(Opts, Run,
-                      static_cast<uint64_t>(Flags.getInt("seed")) +
-                          R * 7919ULL,
-                      Point);
-          const stats::Snapshot Delta =
-              statsCollectionEnabled()
-                  ? stats::snapshotAll().delta(Before)
-                  : stats::Snapshot();
+          for (unsigned R = 0; R != Run.Window.Repeats; ++R)
+            runRepeat(Opts, Run, Run.Window.Seed + R * 7919ULL, Point);
+          const stats::Snapshot Delta = statsSince(StatsMark);
           if (!Point.InvariantsHeld) {
             std::fprintf(stderr,
                          "error: %s corrupted its structure\n",
@@ -344,16 +292,11 @@ int main(int Argc, char **Argv) {
           Record.Threads = Threads;
           Record.KeyRange = Run.Traffic.KeyRange;
           Record.UpdatePercent = Run.Traffic.UpdatePercent;
-          Record.Repeats = Run.Repeats;
+          Record.Repeats = Run.Window.Repeats;
           Record.ThroughputOpsPerSec =
               Point.Throughput.percentile(50);
           Record.ThroughputStddev = Point.Throughput.stddev();
-          if (!Point.Latency.empty()) {
-            Record.HasLatency = true;
-            Record.P50LatencyNs = Point.Latency.percentile(50);
-            Record.P99LatencyNs = Point.Latency.percentile(99);
-            Record.P999LatencyNs = Point.Latency.percentile(99.9);
-          }
+          Record.setLatency(Point.Latency);
           if (!Delta.empty()) {
             Record.HasStats = true;
             Record.Stats = Delta;

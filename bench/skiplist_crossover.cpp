@@ -44,14 +44,10 @@ int main(int Argc, char **Argv) {
   Report.setContext("bench_binary", "skiplist_crossover");
 
   for (unsigned Range : Flags.getUnsignedList("ranges")) {
-    WorkloadConfig Base;
+    WorkloadConfig Base = windowFromFlags(Flags);
     Base.UpdatePercent =
         static_cast<unsigned>(Flags.getInt("update-percent"));
     Base.KeyRange = Range;
-    Base.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
-    Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-    Base.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-    Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
     char Title[96];
     std::snprintf(Title, sizeof(Title), "range %u, %u%% updates", Range,

@@ -20,14 +20,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/TablePrinter.h"
-#include "support/Barrier.h"
 #include "support/CommandLine.h"
-#include "support/Stats.h"
-#include "support/Timing.h"
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace vbl;
@@ -35,98 +31,37 @@ using namespace vbl::harness;
 
 namespace {
 
-/// A mixed hot/cold workload the uniform steady-state harness cannot
+/// A mixed hot/cold workload the uniform steady-state mix cannot
 /// express: a small hot region takes pure insert/remove churn (chunks
 /// there split, empty and merge constantly), while the large cold region
 /// is read-dominated with a trickle of updates (sparse chunks merge back
 /// toward dense cache lines). Every K pays one shape for both regions;
 /// the panel shows which K does so best.
-double runHotCold(ConcurrentSet &Set, unsigned Threads, SetKey Range,
-                  SetKey HotKeys, unsigned HotPercent, unsigned DurationMs,
-                  uint64_t Seed) {
-  const uint64_t WindowNs = uint64_t{DurationMs} * 1000000ULL;
-  SpinBarrier Barrier(Threads);
-  std::vector<std::thread> Workers;
-  std::vector<uint64_t> Ops(Threads, 0);
-  Workers.reserve(Threads);
-  for (unsigned T = 0; T != Threads; ++T) {
-    Workers.emplace_back([&, T] {
-      Xoshiro256 Rng(Seed + 0x9e3779b9ULL * (T + 1));
-      Barrier.arriveAndWait();
-      const uint64_t Start = nowNanos();
-      uint64_t Local = 0;
-      while (nowNanos() - Start < WindowNs) {
-        for (int I = 0; I != 64; ++I) {
-          if (Rng.nextPercent(HotPercent)) {
-            // Hot region: pure update churn on few keys.
-            const SetKey Key = Rng.nextBounded(HotKeys);
-            if (Rng.nextBounded(2) == 0)
-              Set.insert(Key);
-            else
-              Set.remove(Key);
-          } else {
-            // Cold region: 90% contains, 10% updates — enough churn
-            // to keep occupancy drifting across the merge threshold.
-            const SetKey Key = HotKeys + Rng.nextBounded(Range - HotKeys);
-            const uint64_t Roll = Rng.nextBounded(100);
-            if (Roll >= 10)
-              Set.contains(Key);
-            else if (Roll >= 5)
-              Set.insert(Key);
-            else
-              Set.remove(Key);
-          }
-          ++Local;
-        }
-      }
-      Ops[T] = Local;
-    });
-  }
-  for (std::thread &Worker : Workers)
-    Worker.join();
-  uint64_t Total = 0;
-  for (uint64_t N : Ops)
-    Total += N;
-  return static_cast<double>(Total) / (WindowNs * 1e-9);
-}
+struct HotColdSource {
+  SetKey Range;
+  SetKey HotKeys;
+  unsigned HotPercent;
 
-/// measurePoint's protocol (Repeats fresh prefilled structures, median)
-/// over the hot/cold runner.
-BenchRecord measureHotCold(const std::string &Structure, unsigned Threads,
-                           SetKey Range, SetKey HotKeys,
-                           unsigned HotPercent, unsigned DurationMs,
-                           unsigned Repeats, uint64_t Seed) {
-  BenchRecord Record;
-  // The key names the panel's first purpose (an adaptive chunk list
-  // against static K); kept so recorded baseline points still match.
-  Record.Bench = "hotcold_adaptive";
-  Record.Structure = Structure;
-  Record.Threads = Threads;
-  Record.KeyRange = Range;
-  Record.UpdatePercent = HotPercent;
-  Record.Repeats = Repeats;
-
-  const stats::Snapshot Before = stats::snapshotAll();
-  SampleStats Throughput;
-  for (unsigned R = 0; R != Repeats; ++R) {
-    auto Set = makeSet(Structure);
-    if (!Set) {
-      std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                   Structure.c_str());
-      std::abort();
+  SetOp operator()(ConcurrentSet &Set, Xoshiro256 &Rng) const {
+    if (Rng.nextPercent(HotPercent)) {
+      // Hot region: pure update churn on few keys.
+      const SetKey Key = Rng.nextBounded(HotKeys);
+      return applyOp(Set,
+                     Rng.nextBounded(2) == 0 ? SetOp::Insert
+                                             : SetOp::Remove,
+                     Key);
     }
-    prefill(*Set, Range, Seed + R);
-    Throughput.add(runHotCold(*Set, Threads, Range, HotKeys, HotPercent,
-                              DurationMs, Seed + R));
+    // Cold region: 90% contains, 10% updates — enough churn to keep
+    // occupancy drifting across the merge threshold.
+    const SetKey Key = HotKeys + Rng.nextBounded(Range - HotKeys);
+    const uint64_t Roll = Rng.nextBounded(100);
+    return applyOp(Set,
+                   Roll >= 10  ? SetOp::Contains
+                   : Roll >= 5 ? SetOp::Insert
+                               : SetOp::Remove,
+                   Key);
   }
-  Record.ThroughputOpsPerSec = Throughput.percentile(50);
-  Record.ThroughputStddev = Throughput.stddev();
-  if (statsCollectionEnabled()) {
-    Record.HasStats = true;
-    Record.Stats = stats::snapshotAll().delta(Before);
-  }
-  return Record;
-}
+};
 
 } // namespace
 
@@ -158,14 +93,10 @@ int main(int Argc, char **Argv) {
   Report.setContext("bench_binary", "unrolled_crossover");
 
   for (unsigned Range : Flags.getUnsignedList("ranges")) {
-    WorkloadConfig Base;
+    WorkloadConfig Base = windowFromFlags(Flags);
     Base.UpdatePercent =
         static_cast<unsigned>(Flags.getInt("update-percent"));
     Base.KeyRange = Range;
-    Base.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
-    Base.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
-    Base.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-    Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
     char Title[96];
     std::snprintf(Title, sizeof(Title), "unrolled range %u, %u%% updates",
@@ -186,27 +117,30 @@ int main(int Argc, char **Argv) {
               "over)\n");
 
   if (Flags.getBool("hotcold")) {
-    const SetKey Range =
-        static_cast<SetKey>(Flags.getInt("hotcold-range"));
-    const SetKey HotKeys = static_cast<SetKey>(Flags.getInt("hot-keys"));
-    const unsigned HotPercent =
+    // The records' update_pct is the hot share. Their bench key names
+    // the panel's first purpose (an adaptive chunk list against static
+    // K), kept so recorded baseline points still match.
+    WorkloadConfig Config = windowFromFlags(Flags);
+    Config.UpdatePercent =
         static_cast<unsigned>(Flags.getInt("hot-percent"));
-    const unsigned DurationMs =
-        static_cast<unsigned>(Flags.getInt("duration-ms"));
-    const unsigned Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
-    const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
+    Config.KeyRange = static_cast<SetKey>(Flags.getInt("hotcold-range"));
+    const HotColdSource HotCold{
+        Config.KeyRange, static_cast<SetKey>(Flags.getInt("hot-keys")),
+        Config.UpdatePercent};
     const std::vector<std::string> HotColdStructures = {
         "vbl-chunk", "vbl-chunk-k1", "vbl-chunk-k15"};
     for (unsigned Threads : Flags.getUnsignedList("threads")) {
       std::printf("\n== hotcold: %u thread(s), range %llu, hot region "
                   "%llu keys taking %u%% of ops ==\n",
-                  Threads, static_cast<unsigned long long>(Range),
-                  static_cast<unsigned long long>(HotKeys), HotPercent);
+                  Threads, static_cast<unsigned long long>(HotCold.Range),
+                  static_cast<unsigned long long>(HotCold.HotKeys),
+                  HotCold.HotPercent);
+      Config.Threads = Threads;
       std::vector<BenchRecord> RowRecords;
       for (const std::string &Structure : HotColdStructures) {
         const BenchRecord Record =
-            measureHotCold(Structure, Threads, Range, HotKeys, HotPercent,
-                           DurationMs, Repeats, Seed);
+            measurePoint("hotcold_adaptive", Structure, Config, HotCold,
+                         /*WithLatency=*/false);
         std::printf("%22s %12.3f Mops\n", Structure.c_str(),
                     Record.ThroughputOpsPerSec * 1e-6);
         RowRecords.push_back(Record);

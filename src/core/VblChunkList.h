@@ -979,15 +979,15 @@ private:
       Pred->Lock.template release<Policy>(Pred);
       return 1;
     }
-    // Freeze and replace. Gather the live keys plus Key, sorted.
-    const uint64_t O = Policy::readCheck(
-        Curr->Occ, std::memory_order_relaxed, &Curr->Occ, MemField::Marked);
+    // Freeze and replace. Gather the live keys plus Key, sorted. R.Occ
+    // was read under the lock we still hold, so it is the final Occ.
     std::array<SetKey, ChunkKeys + 1> All;
     size_t Total = 0;
-    forEachSlot<true, std::memory_order_relaxed>(Curr, O, [&](SetKey K) {
-      All[Total++] = K;
-      return false;
-    });
+    forEachSlot<true, std::memory_order_relaxed>(
+        Curr, R.Occ, [&](SetKey K) {
+          All[Total++] = K;
+          return false;
+        });
     All[Total++] = Key;
     sortGathered(All, Total);
     Chunk *NextC = Policy::readCheck(Curr->Next, std::memory_order_acquire,

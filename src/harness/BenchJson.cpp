@@ -7,10 +7,7 @@
 
 #include "harness/BenchJson.h"
 
-#include "harness/Workload.h"
-
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace vbl;
@@ -133,10 +130,11 @@ bool BenchJsonReport::writeFile(const std::string &Path) const {
   return Ok;
 }
 
-BenchRecord vbl::harness::measurePoint(const std::string &Bench,
+BenchRecord
+vbl::harness::detail::throughputRecord(const std::string &Bench,
                                        const std::string &Structure,
                                        const WorkloadConfig &Config,
-                                       bool WithLatency) {
+                                       const SampleStats &Throughput) {
   BenchRecord Record;
   Record.Bench = Bench;
   Record.Structure = Structure;
@@ -144,42 +142,22 @@ BenchRecord vbl::harness::measurePoint(const std::string &Bench,
   Record.KeyRange = Config.KeyRange;
   Record.UpdatePercent = Config.UpdatePercent;
   Record.Repeats = Config.Repeats;
-
-  const SampleStats Throughput = measureAlgorithm(Structure, Config);
   // Median across repeats, not mean: one descheduled window must not
   // drag the record down — the CI gate compares these numbers.
   Record.ThroughputOpsPerSec = Throughput.percentile(50);
   Record.ThroughputStddev = Throughput.stddev();
-  // Capture before the latency repetition below so the delta covers
-  // exactly the throughput protocol the record reports.
   if (statsCollectionEnabled()) {
     Record.HasStats = true;
     Record.Stats = lastMeasuredStats();
   }
-
-  if (!WithLatency)
-    return Record;
-  auto Set = makeSet(Structure);
-  if (!Set) {
-    std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                 Structure.c_str());
-    std::abort();
-  }
-  WorkloadConfig LatencyConfig = Config;
-  LatencyConfig.Seed = Config.Seed + 777767777ULL;
-  prefill(*Set, Config.KeyRange, LatencyConfig.Seed);
-  LatencyProfile Profile;
-  runOnceLatency(*Set, LatencyConfig, Profile);
-  SampleStats AllOps;
-  for (const SampleStats *Stats :
-       {&Profile.Insert, &Profile.Remove, &Profile.Contains})
-    for (double Sample : Stats->samples())
-      AllOps.add(Sample);
-  if (!AllOps.empty()) {
-    Record.HasLatency = true;
-    Record.P50LatencyNs = AllOps.percentile(50);
-    Record.P99LatencyNs = AllOps.percentile(99);
-    Record.P999LatencyNs = AllOps.percentile(99.9);
-  }
   return Record;
+}
+
+void BenchRecord::setLatency(const SampleStats &Samples) {
+  if (Samples.empty())
+    return;
+  HasLatency = true;
+  P50LatencyNs = Samples.percentile(50);
+  P99LatencyNs = Samples.percentile(99);
+  P999LatencyNs = Samples.percentile(99.9);
 }

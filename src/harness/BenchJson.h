@@ -53,6 +53,9 @@ struct BenchRecord {
   double P50LatencyNs = 0.0;
   double P99LatencyNs = 0.0;
   double P999LatencyNs = 0.0;
+  /// Sets the three percentiles from \p Samples (ns); they stay null
+  /// when Samples is empty.
+  void setLatency(const SampleStats &Samples);
   /// Counter delta for this point (--stats runs only). Serialized as a
   /// "stats" object appended to the record; readers that only know the
   /// base schema (bench_compare.py) ignore unknown keys.
@@ -76,21 +79,52 @@ public:
   /// I/O failure.
   bool writeFile(const std::string &Path) const;
 
-  size_t recordCount() const { return Records.size(); }
-
 private:
   std::vector<BenchRecord> Records;
   std::vector<std::pair<std::string, std::string>> Context;
 };
 
+namespace detail {
+/// The record of one measured point: identity from \p Config, the
+/// median and stddev of \p Throughput, and lastMeasuredStats() when
+/// collection is on.
+BenchRecord throughputRecord(const std::string &Bench,
+                             const std::string &Structure,
+                             const WorkloadConfig &Config,
+                             const SampleStats &Throughput);
+} // namespace detail
+
 /// Full protocol for one point: throughput via measureAlgorithm
-/// (Repeats fresh structures), plus — when \p WithLatency — one extra
-/// repetition with per-op timing for the latency percentiles across
-/// all operation types.
+/// (Repeats fresh structures running \p Ops), plus — when
+/// \p WithLatency — one extra timed repetition of the same source for
+/// the latency percentiles across all operation types.
+template <OpSource Source>
 BenchRecord measurePoint(const std::string &Bench,
                          const std::string &Structure,
-                         const WorkloadConfig &Config,
-                         bool WithLatency = true);
+                         const WorkloadConfig &Config, const Source &Ops,
+                         bool WithLatency = true) {
+  BenchRecord Record = detail::throughputRecord(
+      Bench, Structure, Config, measureAlgorithm(Structure, Config, Ops));
+  if (!WithLatency)
+    return Record;
+  WorkloadConfig LatencyConfig = Config;
+  LatencyConfig.Seed = Config.Seed + 777767777ULL;
+  const std::unique_ptr<ConcurrentSet> Set =
+      makePrefilledSet(Structure, LatencyConfig);
+  LatencyProfile Profile;
+  runOnce(*Set, LatencyConfig, Ops, &Profile);
+  Record.setLatency(Profile.all());
+  return Record;
+}
+
+/// measurePoint over the paper's uniform mix.
+inline BenchRecord measurePoint(const std::string &Bench,
+                                const std::string &Structure,
+                                const WorkloadConfig &Config,
+                                bool WithLatency = true) {
+  return measurePoint(Bench, Structure, Config, UniformMix(Config),
+                      WithLatency);
+}
 
 } // namespace harness
 } // namespace vbl

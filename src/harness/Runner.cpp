@@ -7,29 +7,48 @@
 
 #include "harness/Runner.h"
 
-#include "support/Barrier.h"
-#include "support/Compiler.h"
-#include "support/Timing.h"
-
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 using namespace vbl;
 using namespace vbl::harness;
 
 namespace {
 
-/// Per-thread op counter padded to its own cache line so counting never
-/// becomes the bottleneck being measured.
-struct alignas(CacheLineBytes) PaddedCounter {
-  uint64_t Value = 0;
-};
-
 bool CollectStats = false;
 stats::Snapshot LastStats;
 
 } // namespace
+
+void LatencyProfile::merge(const LatencyProfile &Other) {
+  for (auto [To, From] : {std::pair{&Insert, &Other.Insert},
+                          std::pair{&Remove, &Other.Remove},
+                          std::pair{&Contains, &Other.Contains}})
+    for (double Sample : From->samples())
+      To->add(Sample);
+}
+
+SampleStats LatencyProfile::all() const {
+  SampleStats Samples = Insert;
+  for (const SampleStats *Kind : {&Remove, &Contains})
+    for (double Sample : Kind->samples())
+      Samples.add(Sample);
+  return Samples;
+}
+
+std::unique_ptr<ConcurrentSet>
+vbl::harness::makePrefilledSet(const std::string &Algorithm,
+                               const WorkloadConfig &Config) {
+  std::unique_ptr<ConcurrentSet> Set = makeSet(Algorithm);
+  if (!Set) {
+    std::fprintf(stderr, "error: unknown algorithm '%s'\n",
+                 Algorithm.c_str());
+    std::abort();
+  }
+  prefill(*Set, Config.KeyRange, Config.Seed);
+  return Set;
+}
 
 void vbl::harness::setStatsCollection(bool Enabled) {
   CollectStats = Enabled && stats::Enabled;
@@ -37,193 +56,26 @@ void vbl::harness::setStatsCollection(bool Enabled) {
 
 bool vbl::harness::statsCollectionEnabled() { return CollectStats; }
 
+stats::Snapshot vbl::harness::statsMark() {
+  return CollectStats ? stats::snapshotAll() : stats::Snapshot();
+}
+
+stats::Snapshot vbl::harness::statsSince(const stats::Snapshot &Mark) {
+  return CollectStats ? stats::snapshotAll().delta(Mark) : stats::Snapshot();
+}
+
 const stats::Snapshot &vbl::harness::lastMeasuredStats() {
   return LastStats;
 }
 
-RunResult vbl::harness::runOnce(ConcurrentSet &Set,
-                                const WorkloadConfig &Config) {
-  const OpPicker Picker(Config.UpdatePercent);
-  SpinBarrier StartBarrier(Config.Threads + 1);
-  std::atomic<bool> WarmupDone{false};
-  std::atomic<bool> Stop{false};
-  std::vector<PaddedCounter> Counters(Config.Threads);
-
-  std::vector<std::thread> Threads;
-  Threads.reserve(Config.Threads);
-  for (unsigned T = 0; T != Config.Threads; ++T) {
-    Threads.emplace_back([&, T] {
-      Xoshiro256 Rng(Config.Seed + 7919 * (T + 1));
-      const auto Range = static_cast<uint64_t>(Config.KeyRange);
-      StartBarrier.arriveAndWait();
-      // Warm-up: same op stream, not counted.
-      while (!WarmupDone.load(std::memory_order_acquire)) {
-        const SetKey Key = static_cast<SetKey>(Rng.nextBounded(Range));
-        switch (Picker.pick(Rng)) {
-        case SetOp::Insert:
-          Set.insert(Key);
-          break;
-        case SetOp::Remove:
-          Set.remove(Key);
-          break;
-        case SetOp::Contains:
-          Set.contains(Key);
-          break;
-        case SetOp::RangeQuery:
-          vbl_unreachable("OpPicker yields point ops only");
-        }
-      }
-      // Measured window.
-      uint64_t Ops = 0;
-      while (!Stop.load(std::memory_order_acquire)) {
-        const SetKey Key = static_cast<SetKey>(Rng.nextBounded(Range));
-        switch (Picker.pick(Rng)) {
-        case SetOp::Insert:
-          Set.insert(Key);
-          break;
-        case SetOp::Remove:
-          Set.remove(Key);
-          break;
-        case SetOp::Contains:
-          Set.contains(Key);
-          break;
-        case SetOp::RangeQuery:
-          vbl_unreachable("OpPicker yields point ops only");
-        }
-        ++Ops;
-      }
-      Counters[T].Value = Ops;
-    });
-  }
-
-  StartBarrier.arriveAndWait();
-  std::this_thread::sleep_for(std::chrono::milliseconds(Config.WarmupMs));
-  const uint64_t MeasureStart = nowNanos();
-  WarmupDone.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(Config.DurationMs));
-  Stop.store(true, std::memory_order_release);
-  const uint64_t MeasureEnd = nowNanos();
-  for (auto &Thread : Threads)
-    Thread.join();
-
-  RunResult Result;
-  for (const PaddedCounter &Counter : Counters)
-    Result.TotalOps += Counter.Value;
-  Result.Seconds =
-      static_cast<double>(MeasureEnd - MeasureStart) * 1e-9;
-  Result.OpsPerSecond =
-      static_cast<double>(Result.TotalOps) / Result.Seconds;
-  Result.InvariantsHeld = Set.checkInvariants();
-  return Result;
+void vbl::harness::detail::setLastMeasuredStats(stats::Snapshot Delta) {
+  LastStats = std::move(Delta);
 }
 
-RunResult vbl::harness::runOnceLatency(ConcurrentSet &Set,
-                                       const WorkloadConfig &Config,
-                                       LatencyProfile &Profile) {
-  const OpPicker Picker(Config.UpdatePercent);
-  SpinBarrier StartBarrier(Config.Threads + 1);
-  std::atomic<bool> Stop{false};
-
-  /// Per-thread sample buffers, merged after joining.
-  struct ThreadSamples {
-    std::vector<double> PerOp[3];
-  };
-  constexpr size_t MaxSamplesPerOp = 200000;
-  std::vector<ThreadSamples> AllSamples(Config.Threads);
-
-  std::vector<std::thread> Threads;
-  Threads.reserve(Config.Threads);
-  for (unsigned T = 0; T != Config.Threads; ++T) {
-    Threads.emplace_back([&, T] {
-      Xoshiro256 Rng(Config.Seed + 104729 * (T + 1));
-      const auto Range = static_cast<uint64_t>(Config.KeyRange);
-      ThreadSamples &Mine = AllSamples[T];
-      StartBarrier.arriveAndWait();
-      while (!Stop.load(std::memory_order_acquire)) {
-        const SetKey Key = static_cast<SetKey>(Rng.nextBounded(Range));
-        const SetOp Op = Picker.pick(Rng);
-        const uint64_t Begin = nowNanos();
-        switch (Op) {
-        case SetOp::Insert:
-          Set.insert(Key);
-          break;
-        case SetOp::Remove:
-          Set.remove(Key);
-          break;
-        case SetOp::Contains:
-          Set.contains(Key);
-          break;
-        case SetOp::RangeQuery:
-          vbl_unreachable("OpPicker yields point ops only");
-        }
-        const uint64_t End = nowNanos();
-        auto &Bucket = Mine.PerOp[static_cast<int>(Op)];
-        if (Bucket.size() < MaxSamplesPerOp)
-          Bucket.push_back(static_cast<double>(End - Begin));
-      }
-    });
-  }
-
-  StartBarrier.arriveAndWait();
-  const uint64_t MeasureStart = nowNanos();
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(Config.WarmupMs + Config.DurationMs));
-  Stop.store(true, std::memory_order_release);
-  const uint64_t MeasureEnd = nowNanos();
-  for (auto &Thread : Threads)
-    Thread.join();
-
-  RunResult Result;
-  for (const ThreadSamples &Mine : AllSamples) {
-    for (int Op = 0; Op != 3; ++Op) {
-      SampleStats &Target = Op == static_cast<int>(SetOp::Insert)
-                                ? Profile.Insert
-                            : Op == static_cast<int>(SetOp::Remove)
-                                ? Profile.Remove
-                                : Profile.Contains;
-      for (double Sample : Mine.PerOp[Op])
-        Target.add(Sample);
-      Result.TotalOps += Mine.PerOp[Op].size();
-    }
-  }
-  Result.Seconds =
-      static_cast<double>(MeasureEnd - MeasureStart) * 1e-9;
-  Result.OpsPerSecond =
-      static_cast<double>(Result.TotalOps) / Result.Seconds;
-  Result.InvariantsHeld = Set.checkInvariants();
-  return Result;
-}
-
-SampleStats
-vbl::harness::measureAlgorithm(const std::string &Algorithm,
-                               const WorkloadConfig &Config) {
-  // Deltas rather than raw totals: the process-wide counters span every
-  // algorithm measured so far, and a bench sweeps many.
-  const stats::Snapshot Before =
-      CollectStats ? stats::snapshotAll() : stats::Snapshot();
-  SampleStats Stats;
-  for (unsigned Rep = 0; Rep != Config.Repeats; ++Rep) {
-    auto Set = makeSet(Algorithm);
-    if (!Set) {
-      std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                   Algorithm.c_str());
-      std::abort();
-    }
-    WorkloadConfig RepConfig = Config;
-    RepConfig.Seed = Config.Seed + 1000003ULL * Rep;
-    prefill(*Set, Config.KeyRange, RepConfig.Seed);
-    const RunResult Result = runOnce(*Set, RepConfig);
-    if (!Result.InvariantsHeld) {
-      std::fprintf(stderr,
-                   "error: %s corrupted its structure during the "
-                   "benchmark run\n",
-                   Algorithm.c_str());
-      std::abort();
-    }
-    Stats.add(Result.OpsPerSecond);
-  }
-  LastStats =
-      CollectStats ? stats::snapshotAll().delta(Before) : stats::Snapshot();
-  return Stats;
+void vbl::harness::detail::abortCorrupted(const std::string &Algorithm) {
+  std::fprintf(stderr,
+               "error: %s corrupted its structure during the benchmark "
+               "run\n",
+               Algorithm.c_str());
+  std::abort();
 }

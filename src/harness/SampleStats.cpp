@@ -1,11 +1,11 @@
-//===- support/Stats.cpp - Summary statistics ----------------------------===//
+//===- harness/SampleStats.cpp - Summary statistics ----------------------===//
 //
 // Part of the VBL project: a reproduction of "Optimal Concurrency for
 // List-Based Sets" (PACT 2021).
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Stats.h"
+#include "harness/SampleStats.h"
 
 #include "support/Compiler.h"
 

@@ -1,4 +1,4 @@
-//===- support/Stats.h - Summary statistics for benchmark samples --------===//
+//===- harness/SampleStats.h - Summary statistics for benchmark samples --===//
 //
 // Part of the VBL project: a reproduction of "Optimal Concurrency for
 // List-Based Sets" (PACT 2021).
@@ -12,8 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef VBL_SUPPORT_STATS_H
-#define VBL_SUPPORT_STATS_H
+#ifndef VBL_HARNESS_SAMPLESTATS_H
+#define VBL_HARNESS_SAMPLESTATS_H
 
 #include <cstddef>
 #include <vector>
@@ -47,4 +47,4 @@ private:
 
 } // namespace vbl
 
-#endif // VBL_SUPPORT_STATS_H
+#endif // VBL_HARNESS_SAMPLESTATS_H

@@ -43,29 +43,6 @@ void Panel::setResult(unsigned Threads, const std::string &Algorithm,
   vbl_unreachable("thread count not part of this panel");
 }
 
-void Panel::setStats(unsigned Threads, const std::string &Algorithm,
-                     const stats::Snapshot &Stats) {
-  for (size_t T = 0; T != ThreadCounts.size(); ++T) {
-    if (ThreadCounts[T] != Threads)
-      continue;
-    StatsResults[T][indexOf(Algorithm)] = Stats;
-    return;
-  }
-  vbl_unreachable("thread count not part of this panel");
-}
-
-void Panel::measureAll(const WorkloadConfig &Base) {
-  for (size_t T = 0; T != ThreadCounts.size(); ++T) {
-    for (size_t A = 0; A != Algorithms.size(); ++A) {
-      WorkloadConfig Config = Base;
-      Config.Threads = ThreadCounts[T];
-      Results[T][A] = measureAlgorithm(Algorithms[A], Config);
-      if (statsCollectionEnabled())
-        StatsResults[T][A] = lastMeasuredStats();
-    }
-  }
-}
-
 void Panel::print() const {
   std::printf("\n== %s ==\n", Title.c_str());
   std::printf("%8s", "threads");

@@ -36,14 +36,25 @@ public:
   void setResult(unsigned Threads, const std::string &Algorithm,
                  const SampleStats &Stats);
 
-  /// Stores the counter delta for (Threads, Algorithm). measureAll
-  /// fills this itself; benches with their own measurement loop (scan
-  /// mixes) use this so print()/appendJson() carry their counters too.
-  void setStats(unsigned Threads, const std::string &Algorithm,
-                const stats::Snapshot &Stats);
+  /// Runs the full sweep of \p Ops with \p Base (Threads field
+  /// overwritten), keeping each cell's counter delta under --stats.
+  template <OpSource Source>
+  void measureAll(const WorkloadConfig &Base, const Source &Ops) {
+    for (size_t T = 0; T != ThreadCounts.size(); ++T) {
+      for (size_t A = 0; A != Algorithms.size(); ++A) {
+        WorkloadConfig Config = Base;
+        Config.Threads = ThreadCounts[T];
+        Results[T][A] = measureAlgorithm(Algorithms[A], Config, Ops);
+        if (statsCollectionEnabled())
+          StatsResults[T][A] = lastMeasuredStats();
+      }
+    }
+  }
 
-  /// Runs the full sweep with \p Base (Threads field overwritten).
-  void measureAll(const WorkloadConfig &Base);
+  /// measureAll over the paper's uniform mix.
+  void measureAll(const WorkloadConfig &Base) {
+    measureAll(Base, UniformMix(Base));
+  }
 
   /// Prints the panel as an aligned text table to stdout. When two or
   /// more algorithms are present the ratio first/second is appended —

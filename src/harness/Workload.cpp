@@ -7,8 +7,19 @@
 
 #include "harness/Workload.h"
 
+#include "support/CommandLine.h"
+
 using namespace vbl;
 using namespace vbl::harness;
+
+WorkloadConfig vbl::harness::windowFromFlags(const FlagSet &Flags) {
+  WorkloadConfig Config;
+  Config.DurationMs = static_cast<unsigned>(Flags.getInt("duration-ms"));
+  Config.WarmupMs = static_cast<unsigned>(Flags.getInt("warmup-ms"));
+  Config.Repeats = static_cast<unsigned>(Flags.getInt("repeats"));
+  Config.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
+  return Config;
+}
 
 size_t vbl::harness::prefill(ConcurrentSet &Set, SetKey KeyRange,
                              uint64_t Seed) {

@@ -19,12 +19,16 @@
 
 #include "core/SetConfig.h"
 #include "lists/SetInterface.h"
+#include "support/Compiler.h"
 #include "support/Random.h"
 #include "sync/Policy.h"
 
 #include <cstdint>
 
 namespace vbl {
+
+class FlagSet;
+
 namespace harness {
 
 struct WorkloadConfig {
@@ -64,6 +68,30 @@ public:
 private:
   unsigned UpdatePercent;
 };
+
+/// A config whose window (DurationMs, WarmupMs, Repeats, Seed) comes
+/// from the --duration-ms, --warmup-ms, --repeats and --seed flags of a
+/// bench; the caller fills in the workload.
+WorkloadConfig windowFromFlags(const FlagSet &Flags);
+
+/// Applies the point op \p Op to \p Key and returns \p Op: the last
+/// step of every op source (harness/Runner.h).
+inline SetOp applyOp(ConcurrentSet &Set, SetOp Op, SetKey Key) {
+  switch (Op) {
+  case SetOp::Insert:
+    Set.insert(Key);
+    break;
+  case SetOp::Remove:
+    Set.remove(Key);
+    break;
+  case SetOp::Contains:
+    Set.contains(Key);
+    break;
+  case SetOp::RangeQuery:
+    vbl_unreachable("applyOp takes point ops only");
+  }
+  return Op;
+}
 
 /// Pre-populates \p Set: each key in [0, KeyRange) present with
 /// probability 1/2 (§4's methodology). Returns the number inserted.

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace vbl {
 namespace reclaim {
@@ -31,8 +32,8 @@ namespace reclaim {
 /// destructor runs every logged deleter, as EpochDomain's destructor
 /// does for its pending list. Freeing a retiree never follows its
 /// pointers, so no tracing is needed even though a retired node may
-/// still point at another one. Tests that count frees use
-/// TrackingDomain instead.
+/// still point at another one. The log also lets tests check a list's
+/// unlink discipline: sawDoubleRetire() reports a node retired twice.
 class LeakyDomain {
 public:
   class Guard {
@@ -97,6 +98,19 @@ public:
     return Count;
   }
   uint64_t freedCount() const { return 0; }
+
+  /// True if some pointer was logged twice: the structure under test
+  /// retired one node twice. Scans the whole log, so call it only while
+  /// no thread retires.
+  bool sawDoubleRetire() const {
+    std::vector<const void *> Ptrs;
+    for (const Block *B = Newest.load(std::memory_order_acquire); B;
+         B = B->Older)
+      for (size_t I = 0, E = logged(B); I != E; ++I)
+        Ptrs.push_back(B->Entries[I].Ptr);
+    std::sort(Ptrs.begin(), Ptrs.end());
+    return std::adjacent_find(Ptrs.begin(), Ptrs.end()) != Ptrs.end();
+  }
 
 private:
   struct Retiree {

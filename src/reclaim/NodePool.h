@@ -202,12 +202,6 @@ public:
     return classIndexFor(Bytes, Align);
   }
 
-  /// Block size handed out for class \p Class (powers of two from
-  /// MinBlockBytes).
-  static constexpr size_t classBytes(unsigned Class) {
-    return MinBlockBytes << Class;
-  }
-
   /// Test hook: caps slab memory so the exhaustion path (single-block
   /// heap fallback, still recycled through the free lists) is reachable
   /// deterministically. 0 restores "unlimited". Not thread-safe against

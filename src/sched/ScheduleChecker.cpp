@@ -23,96 +23,6 @@ bool vbl::sched::reconstructFinalState(
     const std::vector<std::pair<const void *, SetKey>> &InitialChain,
     std::vector<SetKey> &KeysOut) {
   VBL_ASSERT(InitialChain.size() >= 2, "chain needs head and tail");
-
-  std::unordered_map<const void *, const void *> NextOf;
-  std::unordered_map<const void *, SetKey> KeyOf;
-  for (size_t I = 0; I != InitialChain.size(); ++I) {
-    KeyOf[InitialChain[I].first] = InitialChain[I].second;
-    if (I + 1 != InitialChain.size())
-      NextOf[InitialChain[I].first] = InitialChain[I + 1].first;
-  }
-
-  // Replay: last write to each node's next wins; new nodes register
-  // their key and their initial next (the successor recorded at
-  // creation is implied by the subsequent link write's position, so a
-  // write *from* the new node, if any, sets it; otherwise the exporter
-  // guarantees link order makes the walk below well-defined only if the
-  // schedule was complete).
-  for (const Event &E : Exported.events()) {
-    switch (E.Kind) {
-    case EventKind::NewNode:
-      KeyOf[E.Node] = static_cast<SetKey>(E.Value);
-      break;
-    case EventKind::Write:
-    case EventKind::Cas:
-      if (E.Field == MemField::Next)
-        NextOf[E.Node] = reinterpret_cast<const void *>(
-            static_cast<uintptr_t>(E.Value));
-      break;
-    case EventKind::Read:
-      // A new node's next is set at creation to the curr that the
-      // creating traversal read last; the exporter does not keep that
-      // initialization, so recover it from the insert's step pattern
-      // below (handled in the second pass).
-      break;
-    default:
-      break;
-    }
-  }
-
-  // Second pass: for every published insert, the new node's next is the
-  // node its traversal ended on (the final val-read's node), unless a
-  // later write overrode it.
-  // Group events per op to find (new node, final traversal target).
-  std::unordered_map<uint64_t, const Event *> LastValRead;
-  std::unordered_map<uint64_t, const void *> NewNodeOf;
-  auto opKey = [](const Event &E) {
-    return (static_cast<uint64_t>(E.Thread) << 32) | E.OpIndex;
-  };
-  for (const Event &E : Exported.events()) {
-    if (E.Kind == EventKind::Read && E.Field == MemField::Val)
-      LastValRead[opKey(E)] = &E;
-    if (E.Kind == EventKind::NewNode &&
-        !NewNodeOf.count(opKey(E))) // first creation only
-      NewNodeOf[opKey(E)] = E.Node;
-  }
-  for (const auto &[Op, NewNode] : NewNodeOf) {
-    if (NextOf.count(NewNode))
-      continue; // Explicit write already defined it.
-    const auto It = LastValRead.find(Op);
-    if (It != LastValRead.end())
-      NextOf[NewNode] = It->second->Node;
-  }
-
-  // Walk head -> tail.
-  KeysOut.clear();
-  const void *Head = InitialChain.front().first;
-  const void *Tail = InitialChain.back().first;
-  const void *Curr = Head;
-  size_t Hops = 0;
-  const size_t MaxHops = NextOf.size() + InitialChain.size() + 4;
-  while (Curr != Tail) {
-    if (++Hops > MaxHops)
-      return false; // Cycle.
-    const auto NextIt = NextOf.find(Curr);
-    if (NextIt == NextOf.end())
-      return false; // Dangling.
-    Curr = NextIt->second;
-    if (Curr == Tail)
-      break;
-    const auto KeyIt = KeyOf.find(Curr);
-    if (KeyIt == KeyOf.end())
-      return false; // Unknown node.
-    KeysOut.push_back(KeyIt->second);
-  }
-  return true;
-}
-
-bool vbl::sched::reconstructFinalStateMarked(
-    const Schedule &Exported,
-    const std::vector<std::pair<const void *, SetKey>> &InitialChain,
-    std::vector<SetKey> &KeysOut) {
-  VBL_ASSERT(InitialChain.size() >= 2, "chain needs head and tail");
   std::unordered_map<const void *, uint64_t> WordOf;
   std::unordered_map<const void *, SetKey> KeyOf;
   for (size_t I = 0; I != InitialChain.size(); ++I) {
@@ -274,12 +184,7 @@ CorrectnessResult vbl::sched::checkScheduleCorrect(
 
   // 2b. Reconstruct the final list state from the writes.
   std::vector<SetKey> FinalKeys;
-  const bool Reconstructed =
-      Spec == SpecKind::PureLL
-          ? reconstructFinalState(Exported, InitialChain, FinalKeys)
-          : reconstructFinalStateMarked(Exported, InitialChain,
-                                        FinalKeys);
-  if (!Reconstructed) {
+  if (!reconstructFinalState(Exported, InitialChain, FinalKeys)) {
     Result.Linearizable = false;
     Result.Error = "final state is not a valid list (lost or cyclic "
                    "links after replaying writes)";

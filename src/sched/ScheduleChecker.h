@@ -63,16 +63,13 @@ CorrectnessResult checkScheduleCorrect(
 /// paper's state-reconstruction argument before Theorem 3): applies the
 /// last write to every node's next field and walks head to tail.
 /// Returns false if the resulting graph is not a valid head-to-tail
-/// chain (e.g. a lost node made it cyclic or dangling).
+/// chain (e.g. a lost node made it cyclic or dangling). Bit 0 of a
+/// written next word marks its *owner* node as logically deleted (the
+/// adjusted spec's lists); marked nodes are traversed but excluded from
+/// membership. A plain list never sets that bit: its nodes are aligned
+/// and its deletion flags are MemField::Marked writes, which the replay
+/// does not read.
 bool reconstructFinalState(
-    const Schedule &Exported,
-    const std::vector<std::pair<const void *, SetKey>> &InitialChain,
-    std::vector<SetKey> &KeysOut);
-
-/// Mark-aware reconstruction for the adjusted spec: bit 0 of a written
-/// word marks the *owner* node as logically deleted; marked nodes are
-/// traversed but excluded from membership.
-bool reconstructFinalStateMarked(
     const Schedule &Exported,
     const std::vector<std::pair<const void *, SetKey>> &InitialChain,
     std::vector<SetKey> &KeysOut);

@@ -196,15 +196,6 @@ ShardedSet::Session::~Session() {
     flush();
 }
 
-bool ShardedSet::Session::apply(SetOp Op, SetKey Key) {
-  VBL_ASSERT(Parent, "session used after close()/move");
-  BatchOp O;
-  O.Op = Op;
-  O.Key = Key;
-  Parent->runOnShard(Index, Parent->shardOf(Key), &O, 1);
-  return O.Result;
-}
-
 void ShardedSet::Session::enqueue(SetOp Op, SetKey Key, uint64_t Tag) {
   VBL_ASSERT(Parent, "session used after close()/move");
   const unsigned ShardIdx = Parent->shardOf(Key);

@@ -154,10 +154,6 @@ public:
     /// explicit flush (sessions are dropped mid-batch on shutdown).
     ~Session();
 
-    /// Immediate operation through the configured shard discipline
-    /// (combining included). Returns the op's result.
-    bool apply(SetOp Op, SetKey Key);
-
     /// Queues an op; flushes its shard queue once BatchSize ops are
     /// pending there. \p Tag rides along untouched (timestamps).
     void enqueue(SetOp Op, SetKey Key, uint64_t Tag = 0);

@@ -15,57 +15,57 @@
 
 using namespace vbl;
 
+FlagSet::Flag &FlagSet::add(const std::string &Name, FlagKind Kind,
+                            const std::string &Help,
+                            std::string DefaultText) {
+  VBL_ASSERT(!find(Name), "duplicate flag");
+  Flag &F = Flags.emplace_back();
+  F.Name = Name;
+  F.Kind = Kind;
+  F.Help = Help;
+  F.DefaultText = std::move(DefaultText);
+  return F;
+}
+
+/// "a,b,c": a list default as the help text shows it.
+static std::string joinCommas(const std::vector<std::string> &Parts) {
+  std::string Text;
+  for (size_t I = 0, E = Parts.size(); I != E; ++I)
+    Text += (I ? "," : "") + Parts[I];
+  return Text;
+}
+
 void FlagSet::addInt(const std::string &Name, int64_t Default,
                      const std::string &Help) {
-  VBL_ASSERT(!find(Name), "duplicate flag");
-  Flag F;
-  F.Name = Name;
-  F.Kind = FlagKind::Int;
-  F.Help = Help;
-  F.IntValue = Default;
-  F.DefaultText = std::to_string(Default);
-  Flags.push_back(std::move(F));
+  add(Name, FlagKind::Int, Help, std::to_string(Default)).IntValue = Default;
 }
 
 void FlagSet::addBool(const std::string &Name, bool Default,
                       const std::string &Help) {
-  VBL_ASSERT(!find(Name), "duplicate flag");
-  Flag F;
-  F.Name = Name;
-  F.Kind = FlagKind::Bool;
-  F.Help = Help;
-  F.BoolValue = Default;
-  F.DefaultText = Default ? "true" : "false";
-  Flags.push_back(std::move(F));
+  add(Name, FlagKind::Bool, Help, Default ? "true" : "false").BoolValue =
+      Default;
 }
 
 void FlagSet::addString(const std::string &Name, const std::string &Default,
                         const std::string &Help) {
-  VBL_ASSERT(!find(Name), "duplicate flag");
-  Flag F;
-  F.Name = Name;
-  F.Kind = FlagKind::String;
-  F.Help = Help;
-  F.StringValue = Default;
-  F.DefaultText = Default;
-  Flags.push_back(std::move(F));
+  add(Name, FlagKind::String, Help, Default).StringValue = Default;
 }
 
 void FlagSet::addUnsignedList(const std::string &Name,
                               const std::vector<unsigned> &Default,
                               const std::string &Help) {
-  VBL_ASSERT(!find(Name), "duplicate flag");
-  Flag F;
-  F.Name = Name;
-  F.Kind = FlagKind::UnsignedList;
-  F.Help = Help;
-  F.ListValue = Default;
-  for (size_t I = 0, E = Default.size(); I != E; ++I) {
-    if (I)
-      F.DefaultText += ',';
-    F.DefaultText += std::to_string(Default[I]);
-  }
-  Flags.push_back(std::move(F));
+  std::vector<std::string> Parts;
+  for (unsigned Value : Default)
+    Parts.push_back(std::to_string(Value));
+  add(Name, FlagKind::UnsignedList, Help, joinCommas(Parts)).ListValue =
+      Default;
+}
+
+void FlagSet::addStringList(const std::string &Name,
+                            const std::vector<std::string> &Default,
+                            const std::string &Help) {
+  add(Name, FlagKind::StringList, Help, joinCommas(Default))
+      .StringListValue = Default;
 }
 
 FlagSet::Flag *FlagSet::find(const std::string &Name) {
@@ -98,6 +98,21 @@ static bool parseInt64(const std::string &Text, int64_t &Out) {
   return true;
 }
 
+/// Splits \p Text at every comma, keeping empty parts ("" is {""}).
+static std::vector<std::string> splitAtCommas(const std::string &Text) {
+  std::vector<std::string> Pieces;
+  size_t Pos = 0;
+  for (;;) {
+    const size_t Comma = Text.find(',', Pos);
+    if (Comma == std::string::npos) {
+      Pieces.push_back(Text.substr(Pos));
+      return Pieces;
+    }
+    Pieces.push_back(Text.substr(Pos, Comma - Pos));
+    Pos = Comma + 1;
+  }
+}
+
 bool FlagSet::assign(Flag &F, const std::string &Text) {
   switch (F.Kind) {
   case FlagKind::Int:
@@ -117,24 +132,21 @@ bool FlagSet::assign(Flag &F, const std::string &Text) {
     return true;
   case FlagKind::UnsignedList: {
     std::vector<unsigned> Values;
-    size_t Pos = 0;
-    while (Pos <= Text.size()) {
-      const size_t Comma = Text.find(',', Pos);
-      const std::string Piece =
-          Text.substr(Pos, Comma == std::string::npos ? Comma : Comma - Pos);
+    for (const std::string &Piece : splitAtCommas(Text)) {
       int64_t V = 0;
       if (!parseInt64(Piece, V) || V < 0)
         return false;
       Values.push_back(static_cast<unsigned>(V));
-      if (Comma == std::string::npos)
-        break;
-      Pos = Comma + 1;
     }
-    if (Values.empty())
-      return false;
     F.ListValue = std::move(Values);
     return true;
   }
+  case FlagKind::StringList:
+    F.StringListValue.clear();
+    for (std::string &Piece : splitAtCommas(Text))
+      if (!Piece.empty())
+        F.StringListValue.push_back(std::move(Piece));
+    return true;
   }
   vbl_unreachable("covered switch");
 }
@@ -202,6 +214,11 @@ const std::string &FlagSet::getString(const std::string &Name) const {
 const std::vector<unsigned> &
 FlagSet::getUnsignedList(const std::string &Name) const {
   return findOrDie(Name, FlagKind::UnsignedList)->ListValue;
+}
+
+const std::vector<std::string> &
+FlagSet::getStringList(const std::string &Name) const {
+  return findOrDie(Name, FlagKind::StringList)->StringListValue;
 }
 
 void FlagSet::printHelp(const char *Argv0) const {

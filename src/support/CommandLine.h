@@ -8,7 +8,8 @@
 /// \file
 /// Minimal command-line flag parser shared by the bench and example
 /// binaries. Supports `--name=value` and `--name value`, typed accessors,
-/// comma-separated unsigned lists (thread sweeps), and `--help` output.
+/// comma-separated lists of unsigned integers (thread sweeps) or of
+/// names (algorithm sets), and `--help` output.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,11 @@ public:
   void addUnsignedList(const std::string &Name,
                        const std::vector<unsigned> &Default,
                        const std::string &Help);
+  /// Comma-separated list of names, e.g. --algos=vbl,lazy. Empty parts
+  /// are dropped, so "a,,b," is {a, b}.
+  void addStringList(const std::string &Name,
+                     const std::vector<std::string> &Default,
+                     const std::string &Help);
 
   /// Parses argv. Returns false (after printing a diagnostic or the help
   /// text) if the program should exit instead of running.
@@ -47,11 +53,13 @@ public:
   bool getBool(const std::string &Name) const;
   const std::string &getString(const std::string &Name) const;
   const std::vector<unsigned> &getUnsignedList(const std::string &Name) const;
+  const std::vector<std::string> &
+  getStringList(const std::string &Name) const;
 
   void printHelp(const char *Argv0) const;
 
 private:
-  enum class FlagKind { Int, Bool, String, UnsignedList };
+  enum class FlagKind { Int, Bool, String, UnsignedList, StringList };
 
   struct Flag {
     std::string Name;
@@ -62,8 +70,12 @@ private:
     bool BoolValue = false;
     std::string StringValue;
     std::vector<unsigned> ListValue;
+    std::vector<std::string> StringListValue;
   };
 
+  /// Registers a flag of \p Kind; the caller sets its default value.
+  Flag &add(const std::string &Name, FlagKind Kind, const std::string &Help,
+            std::string DefaultText);
   Flag *find(const std::string &Name);
   const Flag *findOrDie(const std::string &Name, FlagKind Kind) const;
   bool assign(Flag &F, const std::string &Text);

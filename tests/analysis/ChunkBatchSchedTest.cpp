@@ -51,7 +51,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -59,14 +58,6 @@ using namespace vbl;
 using namespace vbl::sched;
 
 namespace {
-
-/// Deepens under VBL_EXPLORE_EPISODES like the other exploration tests.
-size_t episodeCapOr(size_t Default) {
-  if (const char *Env = std::getenv("VBL_EXPLORE_EPISODES"))
-    if (long Cap = std::atol(Env); Cap > 0)
-      return static_cast<size_t>(Cap);
-  return Default;
-}
 
 struct BatchScenario {
   std::vector<SetKey> Prefill;

@@ -34,7 +34,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 using namespace vbl;
 using namespace vbl::sched;
@@ -46,15 +45,6 @@ namespace {
 /// CleanListsTest budget; a synchronization-discipline race still
 /// surfaces within the first few dozen interleavings because the
 /// detector checks every access pair of every episode.
-/// Every exploration here deepens under VBL_EXPLORE_EPISODES (the
-/// nightly raises it past the PR budgets); \p Default is the PR cap.
-size_t episodeCapOr(size_t Default) {
-  if (const char *Env = std::getenv("VBL_EXPLORE_EPISODES"))
-    if (long Cap = std::atol(Env); Cap > 0)
-      return static_cast<size_t>(Cap);
-  return Default;
-}
-
 size_t corpusEpisodeCap() { return episodeCapOr(300); }
 
 using ChunkK1 = VblChunkList<1, reclaim::LeakyDomain, AnalyzedPolicy>;

@@ -51,7 +51,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace vbl;
 using namespace vbl::sched;
@@ -67,13 +66,6 @@ static_assert(!HasFlowView<SequentialList<TracedPolicy>> &&
               !HasFlowView<tests::RacyList<TracedPolicy>>);
 static_assert(HasFlowView<VblList<reclaim::LeakyDomain, TracedPolicy>>);
 
-size_t episodeCap() {
-  if (const char *Env = std::getenv("VBL_EXPLORE_EPISODES"))
-    if (long Cap = std::atol(Env); Cap > 0)
-      return static_cast<size_t>(Cap);
-  return 120;
-}
-
 /// Sweeps \p Scenarios against fresh instances from \p Make, failing on
 /// any flow violation and asserting the oracle actually ran (episodes
 /// explored, snapshots counted).
@@ -81,7 +73,7 @@ template <class MakeFn>
 void expectFlowCleanCorpus(const char *ListName,
                            const std::vector<Scenario> &Scenarios,
                            MakeFn Make) {
-  const size_t Cap = episodeCap();
+  const size_t Cap = episodeCapOr(120);
   const stats::Snapshot Before = stats::snapshotAll();
   for (const Scenario &S : Scenarios) {
     InterleavingExplorer Explorer(factoryForWith(S, Make));

@@ -47,7 +47,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 
 using namespace vbl;
@@ -57,16 +56,6 @@ namespace {
 
 using AnalyzedVbrDomain = reclaim::BasicVbrDomain<AnalyzedPolicy>;
 using TracedVbrDomain = reclaim::BasicVbrDomain<TracedPolicy>;
-
-/// Every exploration in this file deepens under VBL_EXPLORE_EPISODES
-/// (the nightly raises it past the PR budgets); \p Default is the
-/// PR-tier cap.
-size_t episodeCapOr(size_t Default) {
-  if (const char *Env = std::getenv("VBL_EXPLORE_EPISODES"))
-    if (long Cap = std::atol(Env); Cap > 0)
-      return static_cast<size_t>(Cap);
-  return Default;
-}
 
 size_t episodeCap() { return episodeCapOr(120); }
 

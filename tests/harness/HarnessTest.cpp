@@ -114,6 +114,69 @@ TEST(Runner, ProducesPlausibleThroughput) {
   EXPECT_NEAR(Result.Seconds, 0.030, 0.050);
 }
 
+namespace {
+
+/// An op source that only inserts, drawing keys from [0, 8).
+struct InsertLowKeys {
+  SetOp operator()(ConcurrentSet &Set, Xoshiro256 &Rng) const {
+    return applyOp(Set, SetOp::Insert,
+                   static_cast<SetKey>(Rng.nextBounded(8)));
+  }
+};
+
+WorkloadConfig shortWindow(unsigned Threads) {
+  WorkloadConfig Config;
+  Config.Threads = Threads;
+  Config.DurationMs = 20;
+  Config.WarmupMs = 5;
+  return Config;
+}
+
+} // namespace
+
+TEST(Runner, RunsACustomOpSource) {
+  auto Set = makeSet("vbl");
+  const RunResult Result = runOnce(*Set, shortWindow(2), InsertLowKeys{});
+  EXPECT_TRUE(Result.InvariantsHeld);
+  EXPECT_GT(Result.TotalOps, 0u);
+  EXPECT_EQ(Set->snapshot(), (std::vector<SetKey>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Runner, LatencyRunTimesOnlyTheSourcesOps) {
+  auto Set = makeSet("vbl");
+  LatencyProfile Profile;
+  const RunResult Result =
+      runOnce(*Set, shortWindow(2), InsertLowKeys{}, &Profile);
+  EXPECT_TRUE(Result.InvariantsHeld);
+  EXPECT_FALSE(Profile.Insert.empty());
+  EXPECT_TRUE(Profile.Remove.empty());
+  EXPECT_TRUE(Profile.Contains.empty());
+}
+
+TEST(Runner, LatencyRunCountsOpsPastTheSampleCap) {
+  // Contains on a tiny set: a 100 ms window runs far more ops than one
+  // worker keeps samples for. Throughput must count every measured op,
+  // not only the timed ones that were kept.
+  WorkloadConfig Config;
+  Config.UpdatePercent = 0;
+  Config.KeyRange = 4;
+  Config.Threads = 1;
+  Config.DurationMs = 100;
+  Config.WarmupMs = 0;
+  auto Set = makeSet("vbl");
+  prefill(*Set, Config.KeyRange, 1);
+  LatencyProfile Profile;
+  const RunResult Result = runOnce(*Set, Config, &Profile);
+  EXPECT_TRUE(Profile.Insert.empty());
+  EXPECT_TRUE(Profile.Remove.empty());
+  const size_t Kept = Profile.Contains.count();
+  ASSERT_LE(Kept, MaxLatencySamplesPerOp);
+  if (Kept == MaxLatencySamplesPerOp)
+    EXPECT_GT(Result.TotalOps, Kept);
+  else
+    EXPECT_EQ(Result.TotalOps, Kept);
+}
+
 TEST(Runner, MeasureAlgorithmCollectsRepeats) {
   WorkloadConfig Config;
   Config.UpdatePercent = 50;

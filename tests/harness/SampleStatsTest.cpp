@@ -1,11 +1,11 @@
-//===- tests/support/StatsTest.cpp - SampleStats unit tests --------------===//
+//===- tests/harness/SampleStatsTest.cpp - SampleStats unit tests --------===//
 //
 // Part of the VBL project: a reproduction of "Optimal Concurrency for
 // List-Based Sets" (PACT 2021).
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Stats.h"
+#include "harness/SampleStats.h"
 
 #include <gtest/gtest.h>
 

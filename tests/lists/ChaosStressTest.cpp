@@ -9,14 +9,14 @@
 /// blow every race window wide open. The algorithms under fuzzing are
 /// the three the paper evaluates (VBL, Lazy, Harris-Michael) plus the
 /// VBL ablation variants; oracles are per-key accounting, structural
-/// invariants, and retire-exactly-once via the TrackingDomain.
+/// invariants, and retire-exactly-once via the LeakyDomain's log.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/VblList.h"
 #include "lists/HarrisMichaelList.h"
 #include "lists/LazyList.h"
-#include "reclaim/TrackingDomain.h"
+#include "reclaim/LeakyDomain.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
 #include "sync/ChaosPolicy.h"
@@ -99,13 +99,13 @@ TEST(ChaosStress, HarrisMichael) {
 }
 
 TEST(ChaosStress, VblRetireDiscipline) {
-  VblList<reclaim::TrackingDomain, ChaosPolicy> List;
+  VblList<reclaim::LeakyDomain, ChaosPolicy> List;
   chaosAccountingStress(List, 4, 6000, 4, 31);
   EXPECT_FALSE(List.reclaimDomain().sawDoubleRetire());
 }
 
 TEST(ChaosStress, HarrisMichaelRetireDiscipline) {
-  HarrisMichaelList<reclaim::TrackingDomain, ChaosPolicy> List;
+  HarrisMichaelList<reclaim::LeakyDomain, ChaosPolicy> List;
   chaosAccountingStress(List, 4, 6000, 4, 37);
   EXPECT_FALSE(List.reclaimDomain().sawDoubleRetire());
 }

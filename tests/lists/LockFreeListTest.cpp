@@ -7,13 +7,13 @@
 ///
 /// Tests specific to the lock-free list: delegated physical unlinking,
 /// mark-bit semantics through the type-erased API, and the
-/// single-retire discipline under the TrackingDomain.
+/// single-retire discipline under the LeakyDomain's retire log.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "lists/HarrisMichaelList.h"
 
-#include "reclaim/TrackingDomain.h"
+#include "reclaim/LeakyDomain.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
 
@@ -28,7 +28,7 @@ using namespace vbl;
 template <class ListT> class LockFreeListTest : public ::testing::Test {};
 
 using LockFreeTypes =
-    ::testing::Types<HarrisMichaelList<reclaim::TrackingDomain>>;
+    ::testing::Types<HarrisMichaelList<reclaim::LeakyDomain>>;
 TYPED_TEST_SUITE(LockFreeListTest, LockFreeTypes);
 
 TYPED_TEST(LockFreeListTest, SingleRetirePerRemovedNode) {

@@ -7,13 +7,13 @@
 ///
 /// Skip-list-specific properties (the shared registry battery covers
 /// the set semantics): tower structure, level distribution, logarithmic
-/// search behaviour, and removal discipline through TrackingDomain.
+/// search behaviour, and removal discipline through LeakyDomain.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "lists/LazySkipList.h"
 
-#include "reclaim/TrackingDomain.h"
+#include "reclaim/LeakyDomain.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
 
@@ -85,7 +85,7 @@ TEST(LazySkipList, ConcurrentAccounting) {
 }
 
 TEST(LazySkipList, SingleRetirePerRemovedTower) {
-  LazySkipList<reclaim::TrackingDomain> Set;
+  LazySkipList<reclaim::LeakyDomain> Set;
   constexpr unsigned NumThreads = 4;
   SpinBarrier Barrier(NumThreads);
   std::atomic<long> Removals{0};

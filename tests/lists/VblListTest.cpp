@@ -8,7 +8,7 @@
 #include "core/VblList.h"
 
 #include "core/ValueAwareTryLock.h"
-#include "reclaim/TrackingDomain.h"
+#include "reclaim/LeakyDomain.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
 
@@ -84,7 +84,7 @@ using VblVariants = ::testing::Types<
     VblList<reclaim::EpochDomain, DirectPolicy, TasLock, false, false>,
     VblList<reclaim::EpochDomain, DirectPolicy, TtasLock>,
     VblList<reclaim::EpochDomain, DirectPolicy, TicketLock>,
-    VblList<reclaim::TrackingDomain>>;
+    VblList<reclaim::LeakyDomain>>;
 TYPED_TEST_SUITE(VblVariantTest, VblVariants);
 
 TYPED_TEST(VblVariantTest, BasicSemantics) {
@@ -133,11 +133,11 @@ TYPED_TEST(VblVariantTest, ConcurrentMixedOps) {
 }
 
 //===----------------------------------------------------------------------===//
-// Unlink discipline, observed through the TrackingDomain
+// Unlink discipline, observed through the LeakyDomain's retire log
 //===----------------------------------------------------------------------===//
 
 TEST(VblListReclaim, EveryRemovalRetiresExactlyOnce) {
-  VblList<reclaim::TrackingDomain> List;
+  VblList<reclaim::LeakyDomain> List;
   constexpr unsigned NumThreads = 4;
   SpinBarrier Barrier(NumThreads);
   std::atomic<long> Removals{0};

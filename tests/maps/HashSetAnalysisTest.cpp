@@ -33,22 +33,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace vbl;
 using namespace vbl::sched;
 
 namespace {
 
-size_t episodeCap() {
-  if (const char *Env = std::getenv("VBL_EXPLORE_EPISODES"))
-    if (long Cap = std::atol(Env); Cap > 0)
-      return static_cast<size_t>(Cap);
-  return 300;
-}
-
 template <class HashT> void expectRaceFreeHashCorpus(const char *SetName) {
-  const size_t Cap = episodeCap();
+  const size_t Cap = episodeCapOr(300);
   for (const Scenario &S : hashSetScenarios()) {
     InterleavingExplorer Explorer(factoryForWith(S, [] {
       HashSetConfig C;
@@ -91,7 +83,7 @@ TEST(HashSetAnalysisTest, VblBackendIsRaceFree) {
 /// other thread's traversal in-episode.
 template <class HashT>
 void expectRaceFreeResizeCorpus(const char *SetName) {
-  const size_t Cap = episodeCap();
+  const size_t Cap = episodeCapOr(300);
   for (const Scenario &S : hashResizeScenarios()) {
     InterleavingExplorer Explorer(factoryForWith(S, [] {
       HashSetConfig C;

@@ -17,7 +17,7 @@
 
 #include "reclaim/EpochDomain.h"
 #include "reclaim/NodePool.h"
-#include "reclaim/TrackingDomain.h"
+#include "reclaim/LeakyDomain.h"
 
 #include "core/VblChunkList.h"
 
@@ -361,12 +361,12 @@ TEST(NodePoolTest, ChunkListLifecycleCleanUnderBypass) {
   }
 }
 
-TEST(NodePoolTest, PoolRetireFreesThroughTrackingDomain) {
-  // TrackingDomain frees retirements in its destructor; running it with
+TEST(NodePoolTest, PoolRetireFreesThroughLeakyDomain) {
+  // LeakyDomain frees retirements in its destructor; running it with
   // pool-backed nodes under ASan/LSan proves the deleter pairing is
   // right in both pool and bypass mode.
   {
-    TrackingDomain Domain;
+    LeakyDomain Domain;
     for (int I = 0; I != 16; ++I)
       poolRetire(Domain, poolCreate<PoolBox>());
     EXPECT_EQ(Domain.retiredCount(), 16u);

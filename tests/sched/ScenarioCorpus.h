@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -32,6 +33,16 @@
 
 namespace vbl {
 namespace sched {
+
+/// The episode cap of an exploration test: \p Default at PR depth, or
+/// VBL_EXPLORE_EPISODES when set (the nightly deepens every exploration
+/// through it).
+inline size_t episodeCapOr(size_t Default) {
+  if (const char *Env = std::getenv("VBL_EXPLORE_EPISODES"))
+    if (long Cap = std::atol(Env); Cap > 0)
+      return static_cast<size_t>(Cap);
+  return Default;
+}
 
 /// One program step. Point ops use Key alone; RangeQuery scans the
 /// window [Key, KeyHi].

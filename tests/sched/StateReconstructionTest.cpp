@@ -150,24 +150,16 @@ TEST(StateReconstructionMarked, MarkedNodeExcludedButTraversed) {
   // Mark node 2 (logical deletion) without unlinking: reachable but
   // not a member.
   std::vector<SetKey> Keys;
-  ASSERT_TRUE(reconstructFinalStateMarked(
+  ASSERT_TRUE(reconstructFinalState(
       Schedule({cas(node(2), addr(node(3)) | 1)}), chain123(), Keys));
   EXPECT_EQ(Keys, (std::vector<SetKey>{1, 3}));
 }
 
 TEST(StateReconstructionMarked, UnlinkAfterMarkAlsoWorks) {
   std::vector<SetKey> Keys;
-  ASSERT_TRUE(reconstructFinalStateMarked(
+  ASSERT_TRUE(reconstructFinalState(
       Schedule({cas(node(2), addr(node(3)) | 1),
                 cas(node(1), addr(node(3)))}),
       chain123(), Keys));
   EXPECT_EQ(Keys, (std::vector<SetKey>{1, 3}));
-}
-
-TEST(StateReconstructionMarked, PlainScheduleBehavesLikeUnmarked) {
-  std::vector<SetKey> Plain, Marked;
-  const Schedule S({write(node(1), addr(node(3)))});
-  ASSERT_TRUE(reconstructFinalState(S, chain123(), Plain));
-  ASSERT_TRUE(reconstructFinalStateMarked(S, chain123(), Marked));
-  EXPECT_EQ(Plain, Marked);
 }

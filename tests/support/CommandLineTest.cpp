@@ -20,6 +20,7 @@ protected:
     Flags.addBool("verbose", false, "be chatty");
     Flags.addString("algo", "vbl", "algorithm name");
     Flags.addUnsignedList("threads", {1, 2}, "thread sweep");
+    Flags.addStringList("algos", {"vbl", "lazy"}, "algorithm sweep");
   }
 
   bool parse(std::vector<const char *> Args) {
@@ -98,3 +99,30 @@ TEST_F(FlagSetTest, MissingValueFails) { EXPECT_FALSE(parse({"--count"})); }
 TEST_F(FlagSetTest, PositionalArgFails) { EXPECT_FALSE(parse({"stray"})); }
 
 TEST_F(FlagSetTest, HelpReturnsFalse) { EXPECT_FALSE(parse({"--help"})); }
+
+TEST_F(FlagSetTest, StringListDefault) {
+  EXPECT_TRUE(parse({}));
+  EXPECT_EQ(Flags.getStringList("algos"),
+            (std::vector<std::string>{"vbl", "lazy"}));
+}
+
+TEST_F(FlagSetTest, StringListOverride) {
+  EXPECT_TRUE(parse({"--algos=harris-michael,vbl-chunk"}));
+  EXPECT_EQ(Flags.getStringList("algos"),
+            (std::vector<std::string>{"harris-michael", "vbl-chunk"}));
+}
+
+TEST_F(FlagSetTest, StringListDropsEmptyParts) {
+  EXPECT_TRUE(parse({"--algos", "a,,b,"}));
+  EXPECT_EQ(Flags.getStringList("algos"),
+            (std::vector<std::string>{"a", "b"}));
+}
+
+TEST_F(FlagSetTest, HelpShowsStringListDefault) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse({"--help"}));
+  const std::string Help = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(Help.find("algorithm sweep (default: vbl,lazy)"),
+            std::string::npos)
+      << Help;
+}
