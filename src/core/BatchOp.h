@@ -22,26 +22,22 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace vbl {
 
-/// One operation of a submitted batch. `Result` is written by the set
-/// that applies the batch; `Tag` is opaque to every backend and carried
-/// through untouched (the service layer stores enqueue timestamps in
-/// it).
+/// One point operation of a submitted batch. `Result` is written by
+/// the set that applies the batch; `Tag` is opaque to every backend and
+/// carried through untouched (the service layer stores enqueue
+/// timestamps in it).
 ///
-/// RangeQuery ops scan [Key, KeyHi] and append the keys found to
-/// `*Keys` (ascending within one backend visit); `Result` reports
-/// whether the scan returned at least one key. `KeyHi`/`Keys` are
-/// ignored by the point ops.
+/// Batches carry point ops only. Ops on distinct keys commute, so a
+/// batch may be reordered freely; a range scan does not commute with
+/// in-range updates, so scans run through `rangeQuery` on their own.
 struct BatchOp {
   SetOp Op = SetOp::Contains;
   SetKey Key = 0;
-  SetKey KeyHi = 0;
   bool Result = false;
   uint64_t Tag = 0;
-  std::vector<SetKey> *Keys = nullptr;
 };
 
 /// The per-op loop of every list's `applyBatchSorted`. \p Ops holds
@@ -49,9 +45,8 @@ struct BatchOp {
 /// in submission order (ascending address). That is the per-key FIFO
 /// contract, so it is asserted here rather than trusted: an
 /// insert(k);remove(k) pair handed over swapped would silently change
-/// both results. Sorted batches carry point ops only (SetAdapter runs
-/// every scan on its own). Each op's Result is what the list's matching
-/// core returns.
+/// both results. Each op's Result is what the list's matching core
+/// returns.
 template <class InsertFn, class RemoveFn, class ContainsFn>
 void applySortedPointOps(BatchOp *const *Ops, size_t N, InsertFn &&Insert,
                          RemoveFn &&Remove, ContainsFn &&Contains) {

@@ -8,7 +8,6 @@
 #include "harness/TablePrinter.h"
 
 #include "support/AsciiChart.h"
-#include "support/Compiler.h"
 
 #include <cstdio>
 
@@ -23,24 +22,6 @@ Panel::Panel(std::string Title, std::vector<std::string> Algorithms,
                  std::vector<SampleStats>(this->Algorithms.size()));
   StatsResults.assign(this->ThreadCounts.size(),
                       std::vector<stats::Snapshot>(this->Algorithms.size()));
-}
-
-size_t Panel::indexOf(const std::string &Algorithm) const {
-  for (size_t I = 0; I != Algorithms.size(); ++I)
-    if (Algorithms[I] == Algorithm)
-      return I;
-  vbl_unreachable("algorithm not part of this panel");
-}
-
-void Panel::setResult(unsigned Threads, const std::string &Algorithm,
-                      const SampleStats &Stats) {
-  for (size_t T = 0; T != ThreadCounts.size(); ++T) {
-    if (ThreadCounts[T] != Threads)
-      continue;
-    Results[T][indexOf(Algorithm)] = Stats;
-    return;
-  }
-  vbl_unreachable("thread count not part of this panel");
 }
 
 void Panel::print() const {
@@ -131,11 +112,4 @@ void Panel::appendJson(BenchJsonReport &Report,
       Report.add(Record);
     }
   }
-}
-
-double Panel::mean(unsigned Threads, const std::string &Algorithm) const {
-  for (size_t T = 0; T != ThreadCounts.size(); ++T)
-    if (ThreadCounts[T] == Threads)
-      return Results[T][indexOf(Algorithm)].mean();
-  vbl_unreachable("thread count not part of this panel");
 }

@@ -32,10 +32,6 @@ public:
   Panel(std::string Title, std::vector<std::string> Algorithms,
         std::vector<unsigned> ThreadCounts);
 
-  /// Stores the samples for (Threads, Algorithm).
-  void setResult(unsigned Threads, const std::string &Algorithm,
-                 const SampleStats &Stats);
-
   /// Runs the full sweep of \p Ops with \p Base (Threads field
   /// overwritten), keeping each cell's counter delta under --stats.
   template <OpSource Source>
@@ -69,11 +65,7 @@ public:
   void appendJson(BenchJsonReport &Report,
                   const WorkloadConfig &Base) const;
 
-  double mean(unsigned Threads, const std::string &Algorithm) const;
-
 private:
-  size_t indexOf(const std::string &Algorithm) const;
-
   std::string Title;
   std::vector<std::string> Algorithms;
   std::vector<unsigned> ThreadCounts;

@@ -44,8 +44,8 @@ public:
   /// Membership test.
   virtual bool contains(SetKey Key) = 0;
 
-  /// Applies \p N ops, writing each `Result` in place. Ops on the SAME
-  /// key take effect in array order; ops on distinct keys may be
+  /// Applies \p N point ops, writing each `Result` in place. Ops on the
+  /// SAME key take effect in array order; ops on distinct keys may be
   /// reordered internally (they commute). The default applies the array
   /// front to back; adapters over lists with a sorted-batch entry point
   /// override this with a single amortized traversal.
@@ -92,14 +92,8 @@ protected:
     case SetOp::Contains:
       O.Result = contains(O.Key);
       return;
-    case SetOp::RangeQuery: {
-      // Batched scans need an out-buffer; a null Keys still runs the
-      // scan (Result reports non-emptiness) into a discarded local.
-      std::vector<SetKey> Discard;
-      std::vector<SetKey> &Sink = O.Keys ? *O.Keys : Discard;
-      O.Result = rangeQuery(O.Key, O.KeyHi, Sink) != 0;
-      return;
-    }
+    case SetOp::RangeQuery:
+      vbl_unreachable("batches carry point ops only");
     }
   }
 };
@@ -135,28 +129,27 @@ public:
 
   void applyBatch(BatchOp *Ops, size_t N) override {
     if constexpr (detail::HasSortedBatch<ListT>::value) {
-      // Point ops on distinct keys commute, so the sorted fast path may
-      // reorder them freely — but a RangeQuery observes every key in
-      // its window and does NOT commute with in-range updates. Sorting
-      // a scan piece across its neighbours (a scan sorts by its Lo
-      // bound) would move same-batch updates in or out of the scan's
-      // view. Scans therefore act as batch barriers: each maximal run
-      // of point ops is one sorted traversal, each scan runs in its
-      // submission position.
-      size_t I = 0;
-      while (I != N) {
-        if (Ops[I].Op == SetOp::RangeQuery) {
-          applyOneOf(Ops[I]);
-          ++I;
-          continue;
-        }
-        size_t End = I + 1;
-        while (End != N && Ops[End].Op != SetOp::RangeQuery)
-          ++End;
-        applySortedRun(Ops + I, End - I);
-        I = End;
+      if (N > 1) {
+        // Sort pointers, not the array: callers read results out of
+        // their own op records by position. Same-key ops MUST keep
+        // submission order — the per-key FIFO contract — and within one
+        // array address order is submission order, so (Key, address) is
+        // a total order that keeps it without a stable sort.
+        // Thread-local scratch: an adapter is shared across threads and
+        // concurrent batch flushes to the same shard are legal.
+        static thread_local std::vector<BatchOp *> Sorted;
+        Sorted.resize(N);
+        for (size_t I = 0; I != N; ++I)
+          Sorted[I] = &Ops[I];
+        std::sort(Sorted.begin(), Sorted.end(),
+                  [](const BatchOp *A, const BatchOp *B) {
+                    if (A->Key != B->Key)
+                      return A->Key < B->Key;
+                    return std::less<const BatchOp *>()(A, B);
+                  });
+        List.applyBatchSorted(Sorted.data(), N);
+        return;
       }
-      return;
     }
     ConcurrentSet::applyBatch(Ops, N);
   }
@@ -182,33 +175,6 @@ public:
   ListT &underlying() { return List; }
 
 private:
-  /// One scan-free run through the list's single-traversal batch entry
-  /// point. Only instantiated for lists with applyBatchSorted.
-  void applySortedRun(BatchOp *Ops, size_t N) {
-    if (N == 1) {
-      applyOneOf(Ops[0]);
-      return;
-    }
-    // Sort pointers, not the array: callers read results out of their
-    // own op records by position. Same-key ops MUST keep submission
-    // order — the per-key FIFO contract — and within one array address
-    // order is submission order, so (Key, address) is a total order
-    // that keeps it without a stable sort.
-    // Thread-local scratch: an adapter is shared across threads and
-    // concurrent batch flushes to the same shard are legal.
-    static thread_local std::vector<BatchOp *> Sorted;
-    Sorted.resize(N);
-    for (size_t I = 0; I != N; ++I)
-      Sorted[I] = &Ops[I];
-    std::sort(Sorted.begin(), Sorted.end(),
-              [](const BatchOp *A, const BatchOp *B) {
-                if (A->Key != B->Key)
-                  return A->Key < B->Key;
-                return std::less<const BatchOp *>()(A, B);
-              });
-    List.applyBatchSorted(Sorted.data(), N);
-  }
-
   std::string Name;
   ListT List;
 };

@@ -20,6 +20,11 @@
 ///  - retire() stamps the pointer with the current global epoch. A
 ///    pointer retired in epoch e is freed once the global epoch reaches
 ///    e + 2: any reader that could still hold it announced at most e + 1.
+///  - A thread that exits hands its retire list to the domain's orphan
+///    list. The stamps travel with the pointers, so the collection that
+///    every CollectThreshold-th retire triggers frees the safe orphans
+///    as well as the retiring thread's own list; it skips the orphans
+///    when another thread holds them, so a retire never blocks.
 ///
 /// Read-side cost: a thread's activity flag and announced epoch share one
 /// 64-bit word (bit 0 = active, bits 1+ = epoch), so guard entry is a
@@ -159,6 +164,7 @@ public:
       freeSafe(Record->RetireList, Global - 2);
       std::lock_guard<std::mutex> Lock(OrphanMutex);
       freeSafe(Orphans, Global - 2);
+      OrphanCount.store(Orphans.size(), std::memory_order_release);
     }
   }
 
@@ -212,10 +218,11 @@ private:
 
   void detach(ThreadRecord *Record) {
     VBL_ASSERT(Record->Depth == 0, "thread exited inside an epoch guard");
-    {
+    if (!Record->RetireList.empty()) {
       std::lock_guard<std::mutex> Lock(OrphanMutex);
       Orphans.insert(Orphans.end(), Record->RetireList.begin(),
                      Record->RetireList.end());
+      OrphanCount.store(Orphans.size(), std::memory_order_release);
     }
     Record->RetireList.clear();
     // Reset the owner-only state before releasing the slot: the next
@@ -239,15 +246,20 @@ private:
   }
 
   /// Tries to advance the global epoch, then frees everything in
-  /// \p Record that became safe. Returns true if anything was freed.
-  bool collect(ThreadRecord *Record) {
+  /// \p Record, and on the orphan list, that became safe.
+  void collect(ThreadRecord *Record) {
     tryAdvanceEpoch();
     const uint64_t Global = GlobalEpoch.load(std::memory_order_acquire);
     // Retired in epoch e, safe once Global >= e + 2: every reader active
     // now announced at least e + 1 > e after the unlink became visible.
-    const size_t Before = Record->RetireList.size();
     freeSafe(Record->RetireList, Global - 2);
-    return Record->RetireList.size() != Before;
+    if (OrphanCount.load(std::memory_order_acquire) == 0)
+      return; // Common case: no backlog, no lock traffic.
+    std::unique_lock<std::mutex> Lock(OrphanMutex, std::try_to_lock);
+    if (!Lock.owns_lock())
+      return; // Someone else is freeing them; don't serialize retire().
+    freeSafe(Orphans, Global - 2);
+    OrphanCount.store(Orphans.size(), std::memory_order_release);
   }
 
   bool tryAdvanceEpoch() {
@@ -321,6 +333,9 @@ private:
   /// Retire lists of threads that exited while the domain lives on.
   std::mutex OrphanMutex;
   std::vector<RetiredPtr> Orphans;
+  /// Orphans.size(), readable without OrphanMutex so a collection can
+  /// skip the orphan list when it is empty.
+  std::atomic<size_t> OrphanCount{0};
 
 public:
   /// RAII read-side critical section. Entering pins the current global

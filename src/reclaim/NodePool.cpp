@@ -12,7 +12,7 @@
 
 #include <cstdlib>
 #include <mutex>
-#include <unordered_set>
+#include <vector>
 
 #include <sys/mman.h>
 
@@ -58,11 +58,6 @@ SlabHeader *slabOf(void *Block) {
                                         ~(NodePool::SlabBytes - 1));
 }
 
-void *arenaOf(void *Block) {
-  return reinterpret_cast<void *>(reinterpret_cast<uintptr_t>(Block) &
-                                  ~(NodePool::ArenaBytes - 1));
-}
-
 /// Heap round-trips with the alignment-correct operator new/delete pair
 /// (the aligned forms must be matched exactly).
 void *alignedNew(size_t Bytes, size_t Align) {
@@ -89,25 +84,18 @@ struct GlobalState {
   /// means a refill prefers the slab that most recently received frees
   /// — warm pages first.
   SlabHeader *Partial[NodePool::NumClasses] = {};
-  /// Exhaustion-minted single blocks (no surrounding slab). Only ever
-  /// populated when the test hook caps slab growth.
-  FreeBlock *FallbackFree[NodePool::NumClasses] = {};
-  /// Arena base pointers; membership distinguishes slab blocks from
-  /// fallback blocks on the donation path (a fallback block lies in no
-  /// arena, and its masked base must not be dereferenced as a slab).
-  std::unordered_set<void *> Arenas;
+  /// Every arena's base pointer, only so LeakSanitizer sees the arenas
+  /// as reachable.
+  std::vector<void *> Arenas;
   /// The uncarved tail of the newest arena; slabs are cut from it in
   /// address order.
   char *ArenaCursor = nullptr;
   char *ArenaEnd = nullptr;
-  size_t SlabBytesLive = 0;
-  size_t SlabByteLimit = 0; // 0 = unlimited; test hook.
   /// Counters maintained under Mutex, plus the flushed fast-path
   /// counters of threads that have exited.
   uint64_t SlabsCarved = 0;
   uint64_t GlobalRefills = 0;
   uint64_t BlocksDonated = 0;
-  uint64_t FallbackBlocks = 0;
   uint64_t DeadPoolAllocs = 0;
   uint64_t DeadPoolFrees = 0;
 };
@@ -135,15 +123,8 @@ void pushPartial(GlobalState &G, SlabHeader *Slab) {
   Slab->InPartialList = true;
 }
 
-/// Returns a donated block to its home slab (or the fallback list).
-/// Caller holds G.Mutex.
-void globalFree(GlobalState &G, FreeBlock *Block, unsigned Class) {
-  if (VBL_UNLIKELY(G.Arenas.count(arenaOf(Block)) == 0)) {
-    // Exhaustion-minted block: no slab around it.
-    Block->Next = G.FallbackFree[Class];
-    G.FallbackFree[Class] = Block;
-    return;
-  }
+/// Returns a donated block to its home slab. Caller holds G.Mutex.
+void globalFree(GlobalState &G, FreeBlock *Block) {
   SlabHeader *Slab = slabOf(Block);
   Block->Next = Slab->Free;
   Slab->Free = Block;
@@ -159,25 +140,20 @@ void globalFree(GlobalState &G, FreeBlock *Block, unsigned Class) {
 void newArena(GlobalState &G) {
   void *Arena = alignedNew(NodePool::ArenaBytes, NodePool::ArenaBytes);
   (void)::madvise(Arena, NodePool::ArenaBytes, MADV_HUGEPAGE);
-  G.Arenas.insert(Arena);
+  G.Arenas.push_back(Arena);
   G.ArenaCursor = static_cast<char *>(Arena);
   G.ArenaEnd = G.ArenaCursor + NodePool::ArenaBytes;
 }
 
 /// Carves a fresh slab for \p Class and pushes it on the partial stack.
-/// Caller holds G.Mutex. Returns false when the slab byte limit forbids
-/// growth.
-bool carveSlab(GlobalState &G, unsigned Class) {
-  if (G.SlabByteLimit != 0 &&
-      G.SlabBytesLive + NodePool::SlabBytes > G.SlabByteLimit)
-    return false;
+/// Caller holds G.Mutex.
+void carveSlab(GlobalState &G, unsigned Class) {
   if (G.ArenaCursor == G.ArenaEnd)
     newArena(G);
   // Self-aligned (the arena is, and slabs tile it) so blocks can mask
   // their way back to the header.
   void *Base = G.ArenaCursor;
   G.ArenaCursor += NodePool::SlabBytes;
-  G.SlabBytesLive += NodePool::SlabBytes;
   ++G.SlabsCarved;
   auto *Slab = ::new (Base) SlabHeader();
   Slab->Class = Class;
@@ -194,7 +170,6 @@ bool carveSlab(GlobalState &G, unsigned Class) {
     ++Slab->FreeCount;
   }
   pushPartial(G, Slab);
-  return true;
 }
 
 /// Per-thread cache: one intrusive free list per class, no shared state
@@ -212,7 +187,7 @@ struct ThreadCache {
     for (unsigned Class = 0; Class != NodePool::NumClasses; ++Class) {
       while (FreeBlock *Block = Lists[Class]) {
         Lists[Class] = Block->Next;
-        globalFree(G, Block, Class);
+        globalFree(G, Block);
       }
       G.BlocksDonated += Counts[Class];
       Counts[Class] = 0;
@@ -245,27 +220,23 @@ void *NodePool::allocateImpl(unsigned Class, bool &FromGlobal) {
   std::lock_guard<std::mutex> Lock(G.Mutex);
   // Pre-owned blocks: their previous lives must be ordered before our
   // reuse; the caller pairs this with an acquire of the transfer beacon.
-  FromGlobal =
-      G.Partial[Class] != nullptr || G.FallbackFree[Class] != nullptr;
+  FromGlobal = G.Partial[Class] != nullptr;
   // Refill a whole batch, draining partial slabs top down and carving
   // fresh ones once they run out. The batch may span several slabs;
   // the arena they were carved from keeps it within one huge page.
   size_t Moved = 0;
-  auto Take = [&](FreeBlock *Block) {
-    Block->Next = C.Lists[Class];
-    C.Lists[Class] = Block;
-    ++C.Counts[Class];
-    ++Moved;
-  };
   while (Moved != TransferBatch) {
-    if (G.Partial[Class] == nullptr && !carveSlab(G, Class))
-      break;
+    if (G.Partial[Class] == nullptr)
+      carveSlab(G, Class);
     SlabHeader *Slab = G.Partial[Class];
     while (Moved != TransferBatch && Slab->Free) {
       FreeBlock *Block = Slab->Free;
       Slab->Free = Block->Next;
       --Slab->FreeCount;
-      Take(Block);
+      Block->Next = C.Lists[Class];
+      C.Lists[Class] = Block;
+      ++C.Counts[Class];
+      ++Moved;
     }
     if (Slab->FreeCount == 0) {
       G.Partial[Class] = Slab->NextPartial;
@@ -273,21 +244,7 @@ void *NodePool::allocateImpl(unsigned Class, bool &FromGlobal) {
       Slab->InPartialList = false;
     }
   }
-  // Only reachable under the test-hook slab cap: recycle
-  // exhaustion-minted blocks.
-  while (Moved != TransferBatch && G.FallbackFree[Class]) {
-    FreeBlock *Block = G.FallbackFree[Class];
-    G.FallbackFree[Class] = Block->Next;
-    Take(Block);
-  }
   ++C.PoolAllocs;
-  if (VBL_UNLIKELY(Moved == 0)) {
-    // Exhaustion fallback: mint one heap block of exactly the class
-    // size. It recycles through the free lists forever; the donation
-    // path recognizes it by its lying in no arena.
-    ++G.FallbackBlocks;
-    return alignedNew(classSize(Class), CacheLineBytes);
-  }
   ++G.GlobalRefills;
   stats::bump(stats::Counter::PoolMisses);
   FreeBlock *First = C.Lists[Class];
@@ -308,7 +265,7 @@ void NodePool::deallocateImpl(void *Ptr, unsigned Class, bool &ToGlobal) {
       FreeBlock *Block = C.Lists[Class];
       C.Lists[Class] = Block->Next;
       --C.Counts[Class];
-      globalFree(G, Block, Class);
+      globalFree(G, Block);
       ++G.BlocksDonated;
     }
     ToGlobal = true;
@@ -381,7 +338,6 @@ NodePool::Stats NodePool::stats() {
     S.SlabsCarved = G.SlabsCarved;
     S.GlobalRefills = G.GlobalRefills;
     S.BlocksDonated = G.BlocksDonated;
-    S.FallbackBlocks = G.FallbackBlocks;
     S.PoolAllocs = G.DeadPoolAllocs;
     S.PoolFrees = G.DeadPoolFrees;
   }
@@ -394,14 +350,3 @@ NodePool::Stats NodePool::stats() {
   return S;
 }
 
-size_t NodePool::liveSlabBytes() {
-  GlobalState &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  return G.SlabBytesLive;
-}
-
-void NodePool::setSlabByteLimitForTest(size_t Limit) {
-  GlobalState &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  G.SlabByteLimit = Limit;
-}

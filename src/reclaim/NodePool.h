@@ -42,7 +42,7 @@
 ///    locality.
 ///  - The global pool is created with `new` and never destroyed:
 ///    thread-cache destructors (TLS teardown) may run after any static
-///    destructor, and keeping the arena set alive also keeps every
+///    destructor, and keeping the arena list alive also keeps every
 ///    block reachable for LeakSanitizer. Arenas are never returned.
 ///
 /// Lifetime safety is entirely the reclamation domains' job: the pool
@@ -187,12 +187,8 @@ public:
     uint64_t GlobalRefills = 0; ///< Batch transfers global -> local.
     uint64_t HeapAllocs = 0;    ///< Bypass or oversize operator new calls.
     uint64_t HeapFrees = 0;     ///< Bypass or oversize operator delete calls.
-    uint64_t FallbackBlocks = 0; ///< Heap blocks minted under the slab cap.
   };
   static Stats stats();
-
-  /// Bytes of slab memory currently owned by the global pool.
-  static size_t liveSlabBytes();
 
   /// Size-class index serving a (Bytes, Align) request, or -1 when the
   /// request is heap-only (oversize or over-aligned). Public so the VBR
@@ -201,12 +197,6 @@ public:
   static int sizeClassFor(size_t Bytes, size_t Align) {
     return classIndexFor(Bytes, Align);
   }
-
-  /// Test hook: caps slab memory so the exhaustion path (single-block
-  /// heap fallback, still recycled through the free lists) is reachable
-  /// deterministically. 0 restores "unlimited". Not thread-safe against
-  /// concurrent allocation; call from quiescent test code only.
-  static void setSlabByteLimitForTest(size_t Limit);
 
 private:
   /// Class index serving (Bytes, Align), or -1 for heap-only requests.

@@ -8,6 +8,7 @@
 #include "service/ShardedSet.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace vbl;
 using namespace vbl::service;
@@ -129,7 +130,19 @@ bool ShardedSet::checkInvariants() const {
 }
 
 ShardedSet::Session ShardedSet::openSession() {
-  return Session(*this, NextSession.fetch_add(1, std::memory_order_relaxed));
+  // Claim the lowest clear bit. The acquire pairs with the release in
+  // Session::close: a holder frees its slot only after its last batch
+  // came back drained, so that whole use of the slot happens before
+  // this session's first publish in it.
+  uint64_t Used = SlotsInUse.load(std::memory_order_relaxed);
+  while (Used != ~uint64_t{0}) {
+    const unsigned Slot = static_cast<unsigned>(std::countr_one(Used));
+    if (SlotsInUse.compare_exchange_weak(Used, Used | (uint64_t{1} << Slot),
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed))
+      return Session(*this, Slot);
+  }
+  return Session(*this, CombinerSlots);
 }
 
 void ShardedSet::runOnShard(unsigned SessionIdx, unsigned ShardIdx,
@@ -162,11 +175,11 @@ ShardedSet::Session::Session(Session &&Other) noexcept
     : Parent(Other.Parent), Index(Other.Index),
       Queues(std::move(Other.Queues)),
       Completed(std::move(Other.Completed)),
-      Scans(std::move(Other.Scans)),
       CompletedScans(std::move(Other.CompletedScans)),
       Pending(Other.Pending) {
   // Detach the source: a moved-from session must not flush the same
-  // queued ops a second time from its destructor.
+  // queued ops a second time, or free the slot it handed over, from its
+  // destructor.
   Other.Parent = nullptr;
   Other.Pending = 0;
 }
@@ -175,13 +188,11 @@ ShardedSet::Session &
 ShardedSet::Session::operator=(Session &&Other) noexcept {
   if (this == &Other)
     return *this;
-  if (Parent)
-    flush();
+  close();
   Parent = Other.Parent;
   Index = Other.Index;
   Queues = std::move(Other.Queues);
   Completed = std::move(Other.Completed);
-  Scans = std::move(Other.Scans);
   CompletedScans = std::move(Other.CompletedScans);
   Pending = Other.Pending;
   Other.Parent = nullptr;
@@ -192,8 +203,8 @@ ShardedSet::Session::operator=(Session &&Other) noexcept {
 ShardedSet::Session::~Session() {
   // Drain residual below-BatchSize ops: an enqueued op must reach its
   // shard even when the client drops the session without flushing.
-  if (Parent)
-    flush();
+  // Then hand the combiner slot back for the next session.
+  close();
 }
 
 void ShardedSet::Session::enqueue(SetOp Op, SetKey Key, uint64_t Tag) {
@@ -213,32 +224,10 @@ void ShardedSet::Session::enqueue(SetOp Op, SetKey Key, uint64_t Tag) {
 void ShardedSet::Session::enqueueRange(SetKey Lo, SetKey Hi,
                                        uint64_t Tag) {
   VBL_ASSERT(Parent, "session used after close()/move");
-  ScanState State;
-  State.Keys = std::make_unique<std::vector<SetKey>>();
-  State.Lo = Lo;
-  State.Hi = Hi;
-  State.Tag = Tag;
-  State.PiecesLeft = static_cast<unsigned>(Queues.size());
-  std::vector<SetKey> *Buffer = State.Keys.get();
-  Scans.push_back(std::move(State));
-  // One piece per shard, all appending into the shared buffer. Flushes
-  // are session-local and sequential, so the appends never race; the
-  // completion handler sorts the merged result once the last piece
-  // lands. Flush AFTER enqueuing every piece so a BatchSize-1 queue
-  // can't complete the scan before all pieces exist.
-  for (unsigned ShardIdx = 0; ShardIdx != Queues.size(); ++ShardIdx) {
-    BatchOp O;
-    O.Op = SetOp::RangeQuery;
-    O.Key = Lo;
-    O.KeyHi = Hi;
-    O.Tag = Tag;
-    O.Keys = Buffer;
-    Queues[ShardIdx].push_back(O);
-    ++Pending;
-  }
-  for (unsigned ShardIdx = 0; ShardIdx != Queues.size(); ++ShardIdx)
-    if (Queues[ShardIdx].size() >= Parent->Opts.BatchSize)
-      flushShard(ShardIdx);
+  flush();
+  CompletedScan Scan{Lo, Hi, Tag, {}};
+  Parent->rangeQuery(Lo, Hi, Scan.Keys);
+  CompletedScans.push_back(std::move(Scan));
 }
 
 void ShardedSet::Session::flushShard(unsigned ShardIdx) {
@@ -249,26 +238,7 @@ void ShardedSet::Session::flushShard(unsigned ShardIdx) {
   Parent->runOnShard(Index, ShardIdx, Q.data(),
                      static_cast<uint32_t>(Q.size()));
   Pending -= Q.size();
-  for (const BatchOp &O : Q) {
-    if (O.Op != SetOp::RangeQuery) {
-      Completed.push_back(O);
-      continue;
-    }
-    // A scan piece: find its in-flight record by result buffer. The
-    // scan completes when its last shard piece flushes.
-    for (size_t I = 0; I != Scans.size(); ++I) {
-      ScanState &Scan = Scans[I];
-      if (Scan.Keys.get() != O.Keys)
-        continue;
-      if (--Scan.PiecesLeft == 0) {
-        std::sort(Scan.Keys->begin(), Scan.Keys->end());
-        CompletedScans.push_back(
-            {Scan.Lo, Scan.Hi, Scan.Tag, std::move(*Scan.Keys)});
-        Scans.erase(Scans.begin() + static_cast<ptrdiff_t>(I));
-      }
-      break;
-    }
-  }
+  Completed.insert(Completed.end(), Q.begin(), Q.end());
   Q.clear();
 }
 
@@ -281,6 +251,9 @@ void ShardedSet::Session::close() {
   if (!Parent)
     return;
   flush();
+  if (Index < CombinerSlots)
+    Parent->SlotsInUse.fetch_and(~(uint64_t{1} << Index),
+                                 std::memory_order_release);
   Parent = nullptr;
 }
 

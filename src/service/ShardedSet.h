@@ -74,9 +74,11 @@ inline uint64_t mixKey(SetKey Key) {
 
 class ShardedSet final : public ConcurrentSet {
 public:
-  /// Publication slots per shard; sessions beyond this many fall back
-  /// to the direct path (combining is an amortization, not a
-  /// correctness requirement, so overflow degrades gracefully).
+  /// Publication slots per shard. A session holds one slot index from
+  /// openSession until close or destruction; sessions opened while
+  /// every slot is held fall back to the direct path (combining is an
+  /// amortization, not a correctness requirement, so overflow degrades
+  /// gracefully).
   static constexpr unsigned CombinerSlots = 64;
 
   struct Options {
@@ -127,8 +129,9 @@ public:
   // Sessions.
   //===--------------------------------------------------------------===//
 
-  /// One client's handle: owns per-shard op queues and a combiner slot.
-  /// Not thread-safe (one session per client/thread); any number of
+  /// One client's handle: owns per-shard op queues and a combiner slot,
+  /// which it returns to the front-end on close or destruction. Not
+  /// thread-safe (one session per client/thread); any number of
   /// sessions may operate concurrently.
   class Session {
   public:
@@ -142,43 +145,44 @@ public:
     };
 
     /// Sessions move (openSession returns by value) but do not copy;
-    /// the moved-from session detaches so it neither flushes nor
-    /// touches the front-end again.
+    /// the move hands over the combiner slot, and the moved-from
+    /// session detaches so it neither flushes nor touches the
+    /// front-end again.
     Session(Session &&Other) noexcept;
     Session &operator=(Session &&Other) noexcept;
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    /// Flushes any residual queued ops: an op enqueued on a live
-    /// front-end is applied even if the client never reaches an
-    /// explicit flush (sessions are dropped mid-batch on shutdown).
+    /// Flushes any residual queued ops, then returns the combiner
+    /// slot: an op enqueued on a live front-end is applied even if the
+    /// client never reaches an explicit flush (sessions are dropped
+    /// mid-batch on shutdown).
     ~Session();
 
     /// Queues an op; flushes its shard queue once BatchSize ops are
     /// pending there. \p Tag rides along untouched (timestamps).
     void enqueue(SetOp Op, SetKey Key, uint64_t Tag = 0);
 
-    /// Queues a range scan over [\p Lo, \p Hi]: one RangeQuery op per
-    /// shard (hash sharding means every shard may hold in-range keys),
-    /// all feeding one result buffer. The scan completes when its last
-    /// shard piece flushes; takeCompletedScans() then yields the
-    /// merged ascending keys.
+    /// Runs a range scan over [\p Lo, \p Hi] through
+    /// ShardedSet::rangeQuery, after flushing every queue so the scan
+    /// sees each op this session enqueued before it. A scan does not
+    /// commute with in-range updates, so it never joins a batch;
+    /// takeCompletedScans() yields its merged ascending keys.
     void enqueueRange(SetKey Lo, SetKey Hi, uint64_t Tag = 0);
 
     /// Flushes every non-empty shard queue.
     void flush();
 
-    /// Flushes and detaches from the front-end. Completed results
-    /// remain takeable; further enqueues are a bug (asserted).
+    /// Flushes, returns the combiner slot and detaches from the
+    /// front-end. Completed results remain takeable; further enqueues
+    /// are a bug (asserted).
     void close();
 
     /// Completed point ops accumulated by flushes since the last take,
     /// in completion order (per-shard queue order within a flush).
-    /// RangeQuery pieces are internal and reported through
-    /// takeCompletedScans() instead.
     std::vector<BatchOp> takeCompleted();
 
-    /// Scans whose every shard piece has flushed, completion order.
+    /// Scans completed since the last take, in enqueue order.
     std::vector<CompletedScan> takeCompletedScans();
 
     size_t pendingOps() const { return Pending; }
@@ -187,28 +191,18 @@ public:
     friend class ShardedSet;
     Session(ShardedSet &Parent, unsigned Index);
 
-    /// In-flight fan-out scan. Keys is heap-held so the BatchOp
-    /// pointers into it survive Session moves and Queues growth.
-    struct ScanState {
-      std::unique_ptr<std::vector<SetKey>> Keys;
-      SetKey Lo;
-      SetKey Hi;
-      uint64_t Tag;
-      unsigned PiecesLeft;
-    };
-
     void flushShard(unsigned ShardIdx);
 
     ShardedSet *Parent;
-    unsigned Index;
+    unsigned Index; // combiner slot; CombinerSlots when none was free
     std::vector<std::vector<BatchOp>> Queues; // one per shard
     std::vector<BatchOp> Completed;
-    std::vector<ScanState> Scans; // in-flight, enqueue order
     std::vector<CompletedScan> CompletedScans;
     size_t Pending = 0;
   };
 
-  /// Opens a new session. Thread-safe; hand each client thread its own.
+  /// Opens a new session holding the lowest free combiner slot.
+  /// Thread-safe; hand each client thread its own.
   Session openSession();
 
 private:
@@ -224,7 +218,9 @@ private:
   Options Opts;
   std::string Name;
   std::vector<std::unique_ptr<Shard>> Shards;
-  std::atomic<unsigned> NextSession{0};
+  /// Bit i set while a session holds combiner slot i.
+  std::atomic<uint64_t> SlotsInUse{0};
+  static_assert(CombinerSlots == 64, "SlotsInUse has one bit per slot");
 };
 
 } // namespace service

@@ -11,7 +11,9 @@
 /// explored interleaving: their relaxed accesses are confined to
 /// unpublished nodes, every publication is a release store/CAS, and
 /// every concurrent read is an acquire load or lock-protected — so no
-/// conflicting pair is left unordered. An episode retires far fewer
+/// conflicting pair is left unordered. The corpus factory wires
+/// flowView(), so the same episodes must also come back free of flow
+/// oracle (F1-F7) violations. An episode retires far fewer
 /// nodes than the hazard domain's scan threshold, so the HP case checks
 /// the protected traversal and its restarts, not frees.
 ///
@@ -52,6 +54,9 @@ template <class ListT> void expectRaceFreeCorpus(const char *ListName) {
           ++Episodes;
           Accesses += Result.Raw.size();
           for (const analysis::RaceReport &Report : Result.Races)
+            ADD_FAILURE() << ListName << " / " << S.Name
+                          << ": " << Report.toString();
+          for (const analysis::FlowReport &Report : Result.FlowViolations)
             ADD_FAILURE() << ListName << " / " << S.Name
                           << ": " << Report.toString();
         },

@@ -105,7 +105,8 @@ TEST(PoolRecycleTest, HarrisMichaelRecycleVsTraversalRaceFree) {
 /// The shared corpus against the real EBR domain: guard announcements,
 /// retirement stamps and pool transfers are all traced events here, so
 /// the detector checks the full production configuration (CleanListsTest
-/// covers the same workloads with the leaky domain).
+/// covers the same workloads with the leaky domain). The corpus factory
+/// wires flowView(), so every episode is flow-checked (F1-F7) as well.
 template <class ListT>
 void expectCorpusRaceFree(const char *ListName, size_t EpisodeCap) {
   for (const Scenario &S : scenarios()) {
@@ -115,6 +116,9 @@ void expectCorpusRaceFree(const char *ListName, size_t EpisodeCap) {
         [&](const EpisodeResult &Result) {
           ++Episodes;
           for (const analysis::RaceReport &Report : Result.Races)
+            ADD_FAILURE() << ListName << " / " << S.Name << ": "
+                          << Report.toString();
+          for (const analysis::FlowReport &Report : Result.FlowViolations)
             ADD_FAILURE() << ListName << " / " << S.Name << ": "
                           << Report.toString();
         },

@@ -21,10 +21,13 @@
 ///  - version-clock rollover: the same scenarios with the clock planted
 ///    at UINT64_MAX, so every retire/revive crosses the u64 wrap and
 ///    the signed-distance birth compare is what keeps readers sound.
-///  - flow oracle: the shared corpus plus the VBR scenarios run with the
-///    per-step flow-invariant checker (F1-F7) over TracedPolicy lists
-///    backed by the VBR domain — the keyset/flow clauses must hold in
-///    every interleaving despite immediate in-place reuse.
+///  - flow oracle: the corpus sweeps (the VBR scenarios, plus the
+///    shared corpus for VblList and LazyList) also fail on any per-step
+///    flow-invariant (F1-F7) violation — the keyset/flow clauses must
+///    hold in every interleaving despite immediate in-place reuse. The
+///    checker tracks nodes by address and restarts tracking when an
+///    address reappears, so a block revived (possibly relinked at a new
+///    key) inside the episode is within its model.
 ///
 /// Vacuity guards assert the episodes really revive blocks (domain
 /// reuse counters), not merely explore interleavings where every
@@ -56,8 +59,6 @@ namespace {
 
 using AnalyzedVbrDomain = reclaim::BasicVbrDomain<AnalyzedPolicy>;
 using TracedVbrDomain = reclaim::BasicVbrDomain<TracedPolicy>;
-
-size_t episodeCap() { return episodeCapOr(120); }
 
 /// remove(4); insert(7) against a concurrent contains(4). Unlike the
 /// EBR variant (PoolRecycleTest) there is no collectAll between the
@@ -138,11 +139,14 @@ TEST(VbrReclaimTest, LazyListRolloverRecycleRaceFree) {
 /// The VBR scenario set (stamp-vs-validate and friends) plus the shared
 /// corpus, race-checked against the real VBR domain: guard snapshots,
 /// birth stamps, clock bumps and freelist transfers are all traced
-/// events, so the detector audits the full production protocol.
+/// events, so the detector audits the full production protocol. The
+/// corpus factory wires flowView(), so every episode is flow-checked
+/// too.
 template <class ListT>
 void expectCorpusRaceFree(const char *ListName,
                           const std::vector<Scenario> &Scenarios,
                           size_t EpisodeCap) {
+  const stats::Snapshot Before = stats::snapshotAll();
   for (const Scenario &S : Scenarios) {
     InterleavingExplorer Explorer(factoryFor<ListT>(S));
     size_t Episodes = 0;
@@ -153,9 +157,17 @@ void expectCorpusRaceFree(const char *ListName,
           for (const analysis::RaceReport &Report : Result.Races)
             ADD_FAILURE() << ListName << " / " << S.Name << ": "
                           << Report.toString();
+          for (const analysis::FlowReport &Report : Result.FlowViolations)
+            ADD_FAILURE() << ListName << " / " << S.Name << ": "
+                          << Report.toString();
         },
         std::min(S.MaxEpisodes, episodeCapOr(EpisodeCap)));
     EXPECT_GT(Episodes, 0u) << ListName << " / " << S.Name;
+  }
+  if (stats::Enabled) {
+    const stats::Snapshot Delta = stats::snapshotAll().delta(Before);
+    EXPECT_GT(Delta.get(stats::Counter::AnalysisFlowChecks), 0u)
+        << ListName << ": no flow snapshots taken";
   }
 }
 
@@ -182,57 +194,6 @@ TEST(VbrReclaimTest, VblListSharedCorpusRaceFree) {
 TEST(VbrReclaimTest, LazyListSharedCorpusRaceFree) {
   expectCorpusRaceFree<LazyList<AnalyzedVbrDomain, AnalyzedPolicy>>(
       "LazyList+VBR", scenarios(), 120);
-}
-
-/// Flow oracle over VBR-backed lists: the per-step keyset/flow clauses
-/// (F1-F7) recomputed after every scheduler step must stay clean even
-/// though unlinked blocks are revived — possibly relinked at a new key
-/// — inside the same episode. The checker tracks nodes by address and
-/// deliberately restarts tracking when an address reappears, so
-/// immediate reuse is within its model.
-template <class ListT>
-void expectFlowClean(const char *ListName,
-                     const std::vector<Scenario> &Scenarios) {
-  const size_t Cap = episodeCap();
-  const stats::Snapshot Before = stats::snapshotAll();
-  for (const Scenario &S : Scenarios) {
-    InterleavingExplorer Explorer(factoryFor<ListT>(S));
-    size_t Episodes = 0;
-    Explorer.exploreAll(
-        [&](const EpisodeResult &Result) {
-          ++Episodes;
-          for (const analysis::FlowReport &Report : Result.FlowViolations)
-            ADD_FAILURE() << ListName << " / " << S.Name << ": "
-                          << Report.toString();
-        },
-        std::min(S.MaxEpisodes, Cap));
-    EXPECT_GT(Episodes, 0u) << ListName << " / " << S.Name;
-  }
-  if (stats::Enabled) {
-    const stats::Snapshot Delta = stats::snapshotAll().delta(Before);
-    EXPECT_GT(Delta.get(stats::Counter::AnalysisFlowChecks), 0u)
-        << ListName << ": no flow snapshots taken";
-  }
-}
-
-TEST(VbrReclaimTest, VblListVbrIsFlowClean) {
-  expectFlowClean<VblList<TracedVbrDomain, TracedPolicy>>("VblList+VBR",
-                                                          vbrScenarios());
-}
-
-TEST(VbrReclaimTest, LazyListVbrIsFlowClean) {
-  expectFlowClean<LazyList<TracedVbrDomain, TracedPolicy>>("LazyList+VBR",
-                                                           vbrScenarios());
-}
-
-TEST(VbrReclaimTest, ChunkListVbrIsFlowClean) {
-  expectFlowClean<VblChunkList<1, TracedVbrDomain, TracedPolicy>>(
-      "VblChunkList<1>+VBR", vbrScenarios());
-}
-
-TEST(VbrReclaimTest, VblListVbrSharedCorpusFlowClean) {
-  expectFlowClean<VblList<TracedVbrDomain, TracedPolicy>>("VblList+VBR",
-                                                          scenarios());
 }
 
 /// vbr_scan_vs_revival driven into its restart: the scan reads node

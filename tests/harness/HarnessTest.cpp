@@ -1,4 +1,4 @@
-//===- tests/harness/HarnessTest.cpp - Workload/runner/printer tests -----===//
+//===- tests/harness/HarnessTest.cpp - Workload and runner tests ---------===//
 //
 // Part of the VBL project: a reproduction of "Optimal Concurrency for
 // List-Based Sets" (PACT 2021).
@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/Runner.h"
-#include "harness/TablePrinter.h"
 #include "harness/Workload.h"
 
 #include <gtest/gtest.h>
@@ -188,15 +187,4 @@ TEST(Runner, MeasureAlgorithmCollectsRepeats) {
   const SampleStats Stats = measureAlgorithm("coarse", Config);
   EXPECT_EQ(Stats.count(), 3u);
   EXPECT_GT(Stats.mean(), 0.0);
-}
-
-TEST(Panel, Means) {
-  Panel P("unit", {"a", "b"}, {1, 2});
-  SampleStats SA, SB;
-  SA.add(2e6);
-  SB.add(1e6);
-  P.setResult(1, "a", SA);
-  P.setResult(1, "b", SB);
-  EXPECT_DOUBLE_EQ(P.mean(1, "a"), 2e6);
-  EXPECT_DOUBLE_EQ(P.mean(1, "b"), 1e6);
 }

@@ -592,12 +592,12 @@ TYPED_TEST(ChunkBatchDeathTest, DescendingKeysAssert) {
   EXPECT_DEATH(List.applyBatchSorted(Unsorted, 2), "submission order");
 }
 
-// SetAdapter runs every scan on its own, so a scan inside a sorted
-// batch is a caller bug.
+// Batches carry point ops only (scans run through rangeQuery), so a
+// scan inside a sorted batch is a caller bug.
 TYPED_TEST(ChunkBatchDeathTest, RangeQueryAsserts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   TypeParam List;
-  BatchOp Scan{SetOp::RangeQuery, 1, 9};
+  BatchOp Scan{SetOp::RangeQuery, 1};
   BatchOp *One[1] = {&Scan};
   EXPECT_DEATH(List.applyBatchSorted(One, 1), "point ops only");
 }

@@ -306,12 +306,12 @@ TEST(VblBatchDeathTest, DescendingKeysAssert) {
   EXPECT_DEATH(List.applyBatchSorted(Unsorted, 2), "submission order");
 }
 
-// SetAdapter runs every scan on its own, so a scan inside a sorted
-// batch is a caller bug.
+// Batches carry point ops only (scans run through rangeQuery), so a
+// scan inside a sorted batch is a caller bug.
 TEST(VblBatchDeathTest, RangeQueryAsserts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   VblList<> List;
-  BatchOp Scan{SetOp::RangeQuery, 1, 9};
+  BatchOp Scan{SetOp::RangeQuery, 1};
   BatchOp *One[1] = {&Scan};
   EXPECT_DEATH(List.applyBatchSorted(One, 1), "point ops only");
 }

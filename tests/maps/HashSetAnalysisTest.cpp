@@ -7,11 +7,12 @@
 ///
 /// Drives the split-ordered hash set (both substrates) under
 /// AnalyzedPolicy through the hash scenario corpus and asserts the
-/// happens-before detector finds ZERO races in every explored
-/// interleaving. The sets are built with InitialBuckets=1 and
-/// GrowLoadFactor=1 so episode inserts trigger bucket-index growth and
-/// lazy dummy splicing concurrently with the other thread — the
-/// resize-vs-insert pairing is explored, not just steady-state ops.
+/// happens-before detector finds ZERO races and the flow oracle (F1-F7)
+/// no violation in every explored interleaving. The sets are built
+/// with InitialBuckets=1 and GrowLoadFactor=1 so episode inserts
+/// trigger bucket-index growth and lazy dummy splicing concurrently
+/// with the other thread — the resize-vs-insert pairing is explored,
+/// not just steady-state ops.
 ///
 /// The default episode cap keeps PR runs fast (the corpus's value is
 /// breadth; synchronization bugs show up within the first few hundred
@@ -57,6 +58,9 @@ template <class HashT> void expectRaceFreeHashCorpus(const char *SetName) {
           for (const analysis::RaceReport &Report : Result.Races)
             ADD_FAILURE() << SetName << " / " << S.Name << ": "
                           << Report.toString();
+          for (const analysis::FlowReport &Report : Result.FlowViolations)
+            ADD_FAILURE() << SetName << " / " << S.Name << ": "
+                          << Report.toString();
         },
         std::min(S.MaxEpisodes, Cap));
     EXPECT_GT(Episodes, 0u) << SetName << " / " << S.Name;
@@ -100,6 +104,9 @@ void expectRaceFreeResizeCorpus(const char *SetName) {
           ++Episodes;
           Accesses += Result.Raw.size();
           for (const analysis::RaceReport &Report : Result.Races)
+            ADD_FAILURE() << SetName << " / " << S.Name << ": "
+                          << Report.toString();
+          for (const analysis::FlowReport &Report : Result.FlowViolations)
             ADD_FAILURE() << SetName << " / " << S.Name << ": "
                           << Report.toString();
         },

@@ -157,6 +157,35 @@ TEST(EpochDomain, ThreadExitOrphansAreFreedByDomain) {
   EXPECT_EQ(Destroyed.load(), 4);
 }
 
+TEST(EpochDomain, OrphanBacklogDrainedByRetirePressure) {
+  // detach() parks an exiting thread's retirees on the orphan list;
+  // nothing freed them unless someone called collectAll(). The collect
+  // that retire pressure triggers must now free the safe ones too.
+  constexpr int ChurnThreads = 10;
+  constexpr int PerThread = 3; // Below CollectThreshold: no collect.
+  std::atomic<int> OrphansDestroyed{0};
+  std::atomic<int> JunkDestroyed{0};
+  EpochDomain Domain;
+  for (int T = 0; T != ChurnThreads; ++T)
+    std::thread([&] {
+      for (int I = 0; I != PerThread; ++I)
+        Domain.retire(new Tracked(OrphansDestroyed));
+    }).join();
+  EXPECT_EQ(OrphansDestroyed.load(), 0);
+
+  // Main-thread retire pressure, no guard held anywhere: each collect
+  // advances the epoch, and the second one ends the orphans' grace
+  // period.
+  constexpr int Junk = 2 * EpochDomain::CollectThreshold;
+  for (int I = 0; I != Junk; ++I)
+    Domain.retire(new Tracked(JunkDestroyed));
+  EXPECT_EQ(OrphansDestroyed.load(), ChurnThreads * PerThread);
+
+  Domain.collectAll();
+  EXPECT_EQ(JunkDestroyed.load(), Junk);
+  EXPECT_EQ(Domain.freedCount(), Domain.retiredCount());
+}
+
 TEST(EpochDomain, DomainOutlivedByThreadIsSafe) {
   // A thread attaches to a domain that dies before the thread does: the
   // thread's exit hook must skip the dead domain (DomainRegistry).

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Lifecycle coverage for the per-thread slab pool: local recycling,
-// thread-exit donation, cross-thread block migration, slab exhaustion
-// (heap fallback), the oversize escape hatch, the bypass switch, and
-// the huge-page arenas slabs are carved from.
+// thread-exit donation, cross-thread block migration, the oversize
+// escape hatch, the bypass switch, and the huge-page arenas slabs are
+// carved from.
 // Every behavioural assertion about the pooled fast path is skipped
 // when the whole binary runs bypassed (VBL_POOL_BYPASS=1 under ASan):
 // in that mode there is no pool to observe, by design.
@@ -107,26 +107,6 @@ TEST(NodePoolTest, CrossThreadFreeThenReuse) {
     EXPECT_EQ(Block, Reused);
     NodePool::deallocate(Reused, 128, 8);
   }).join();
-}
-
-TEST(NodePoolTest, SlabExhaustionFallsBackToHeapBlocks) {
-  if (NodePool::bypassed())
-    GTEST_SKIP() << "pool bypassed; no slab accounting";
-  // Freeze slab growth below what is already carved: refills can only
-  // drain existing free blocks, then the pool must mint single
-  // class-sized heap blocks (FallbackBlocks) instead of failing.
-  NodePool::setSlabByteLimitForTest(1);
-  const NodePool::Stats Before = NodePool::stats();
-  std::vector<void *> Held;
-  while (NodePool::stats().FallbackBlocks == Before.FallbackBlocks &&
-         Held.size() < 100000)
-    Held.push_back(NodePool::allocate(1024, 8));
-  const NodePool::Stats After = NodePool::stats();
-  EXPECT_GT(After.FallbackBlocks, Before.FallbackBlocks);
-  EXPECT_EQ(After.SlabsCarved, Before.SlabsCarved);
-  for (void *Ptr : Held)
-    NodePool::deallocate(Ptr, 1024, 8);
-  NodePool::setSlabByteLimitForTest(0);
 }
 
 TEST(NodePoolTest, SlabsAreCarvedBackToBackInOneArena) {

@@ -19,6 +19,8 @@
 ///    its linearization point provably lies inside — checked by the
 ///    lin engine, including a run where sessions past the combiner's
 ///    slot array apply directly while the others combine;
+///  - combiner slots: returned on close or destruction, handed over by
+///    a move, and reused by later sessions;
 ///  - the registry suggestion path for unknown backend names.
 ///
 //===----------------------------------------------------------------------===//
@@ -200,10 +202,10 @@ TEST(ShardedSetTest, DirectInterfaceAndRouting) {
 // Batched ops: interval = [enqueue, flush-return]. The op's actual
 // linearization (inside the backend during the flush) lies within, so
 // if the widened history linearizes per key, so does the execution.
-// With \p MixDirect, all but Threads/2 of the combiner's slots go to
-// idle sessions first, so half the workers get a slot and combine
-// while the other half run past the slot array, straight into the
-// backend, on the same shards at the same time.
+// With \p MixDirect, idle sessions held open for the whole run take
+// all but Threads/2 of the combiner's slots first, so half the workers
+// get a slot and combine while the other half run past the slot array,
+// straight into the backend, on the same shards at the same time.
 void concurrentLincheck(const std::string &Backend, unsigned Batch,
                         CombineMode Mode, bool MixDirect = false) {
   auto Front = mustCreate(options(Backend, 2, Batch, Mode));
@@ -213,9 +215,10 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
     Initial.push_back(Key);
   }
   constexpr unsigned Threads = 4;
+  std::vector<ShardedSet::Session> Idle;
   if (MixDirect)
     for (unsigned I = 0; I != ShardedSet::CombinerSlots - Threads / 2; ++I)
-      Front->openSession();
+      Idle.push_back(Front->openSession());
   const stats::Snapshot Before = stats::snapshotAll();
   lin::HistoryRecorder Recorder(Threads);
   SpinBarrier Barrier(Threads);
@@ -268,6 +271,40 @@ TEST(ShardedSetTest, LinearizableCombining) {
     concurrentLincheck(Backend, 4, CombineMode::On);
     concurrentLincheck(Backend, 1, CombineMode::On, /*MixDirect=*/true);
   }
+}
+
+// A session returns its combiner slot on close or destruction, and a
+// move hands the slot over: however many sessions a front-end has seen,
+// one opened while fewer than CombinerSlots are open combines.
+TEST(ShardedSetTest, ClosedSessionsFreeTheirCombinerSlots) {
+  if (!stats::Enabled)
+    GTEST_SKIP() << "stats compiled out";
+  auto Front = mustCreate(options("vbl", 1, 1, CombineMode::On));
+  const auto Delta = [Before = stats::snapshotAll()](stats::Counter C) {
+    return stats::snapshotAll().delta(Before).get(C);
+  };
+  constexpr unsigned Slots = ShardedSet::CombinerSlots;
+  // Sequential sessions, alternately closed and destroyed.
+  for (unsigned I = 0; I != 2 * Slots; ++I) {
+    ShardedSet::Session Session = Front->openSession();
+    Session.enqueue(SetOp::Insert, static_cast<SetKey>(I));
+    if (I % 2)
+      Session.close();
+  }
+  EXPECT_EQ(Delta(stats::Counter::ServiceOpsCombined), 2 * Slots);
+  EXPECT_EQ(Delta(stats::Counter::ServiceOpsDirect), 0u);
+  // Every slot held (the vector's growth moves sessions): one more
+  // session goes direct.
+  std::vector<ShardedSet::Session> Held;
+  for (unsigned I = 0; I != Slots; ++I)
+    Held.push_back(Front->openSession());
+  Front->openSession().enqueue(SetOp::Contains, 0);
+  EXPECT_EQ(Delta(stats::Counter::ServiceOpsDirect), 1u);
+  // Freeing one slot lets the next session combine again.
+  Held.pop_back();
+  Front->openSession().enqueue(SetOp::Contains, 0);
+  EXPECT_EQ(Delta(stats::Counter::ServiceOpsCombined), 2 * Slots + 1);
+  EXPECT_EQ(Delta(stats::Counter::ServiceOpsDirect), 1u);
 }
 
 // Concurrent differential on final state: updates only, disjoint key
@@ -358,9 +395,9 @@ TEST(ShardedSetTest, RangeQueryMergesShards) {
   }
 }
 
-// Batched scans: enqueueRange fans one piece per shard into the
-// session queues; the scan completes when its last piece flushes and
-// reports the merged ascending window via takeCompletedScans().
+// Session scans: enqueueRange flushes the session's queues, then runs
+// the front-end's merged cross-shard scan, and takeCompletedScans()
+// reports the ascending window.
 void enqueueRangeDifferential(const std::string &Backend, unsigned Batch,
                               CombineMode Mode) {
   auto Front = mustCreate(options(Backend, 4, Batch, Mode));
