@@ -21,9 +21,14 @@
 /// and destruction — never on the guard fast path.
 ///
 /// attachThreadRecord() is the one attach path every such domain runs:
-/// an inline one-entry cache hit (a load and a compare), and an
-/// out-of-line slow path that looks the thread's record up in the
-/// registry or claims a free slot for it.
+/// an inline hit in a 16-entry per-thread cache indexed by domain id (a
+/// load and a compare), and an out-of-line slow path that looks the
+/// thread's record up in the registry or claims a free slot for it.
+///
+/// It also holds the pieces of the domains' read-line rule: the word
+/// every guard reads sits on a line of its own (LineOwned), and
+/// per-operation counts are owner-written record cells (addOwnedCount,
+/// sumRecordCounts).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,13 +137,24 @@ inline void rememberThreadRecord(uint64_t DomainId, void *Domain,
 
 namespace detail {
 
-/// This thread's most recent (domain, record) pair, one per record type
-/// (hence per domain type): nearly every workload touches one domain of
-/// a type at a time. Domain ids start at 1, so the empty cache never
-/// matches.
+/// This thread's (domain, record) pairs, 16 per record type (hence per
+/// domain type), direct-mapped by domain id. A ShardedSet's shard
+/// domains are constructed together and get consecutive ids, so a
+/// thread moving between up to 16 of them stays on the inline hit; ids
+/// that collide modulo 16 evict each other and refill from the
+/// registry. Domain ids start at 1 and are never reused, so an empty
+/// entry, or one naming a dead domain, never matches.
 template <class RecordT> struct AttachCache {
-  static inline thread_local uint64_t DomainId = 0;
-  static inline thread_local RecordT *Record = nullptr;
+  static constexpr unsigned Entries = 16;
+  struct Entry {
+    uint64_t DomainId = 0;
+    RecordT *Record = nullptr;
+  };
+  static inline constinit thread_local Entry Table[Entries] = {};
+
+  static Entry &slot(uint64_t DomainId) {
+    return Table[DomainId % Entries];
+  }
 };
 
 /// attachThreadRecord's miss path: the registry lookup, else a slot
@@ -167,8 +183,7 @@ VBL_NOINLINE RecordT *attachThreadRecordSlow(uint64_t DomainId,
   if (!Record)
     vbl_unreachable("reclamation domain: more than MaxThreads concurrent "
                     "threads");
-  AttachCache<RecordT>::DomainId = DomainId;
-  AttachCache<RecordT>::Record = Record;
+  AttachCache<RecordT>::slot(DomainId) = {DomainId, Record};
   return Record;
 }
 
@@ -183,11 +198,44 @@ VBL_ALWAYS_INLINE RecordT *
 attachThreadRecord(uint64_t DomainId, void *Domain, DetachFn Detach,
                    std::vector<RecordT> &Records,
                    std::atomic<uint32_t> *HighWater) {
-  using Cache = detail::AttachCache<RecordT>;
-  if (VBL_LIKELY(Cache::DomainId == DomainId))
-    return Cache::Record;
+  const auto &Entry = detail::AttachCache<RecordT>::slot(DomainId);
+  if (VBL_LIKELY(Entry.DomainId == DomainId))
+    return Entry.Record;
   return detail::attachThreadRecordSlow(DomainId, Domain, Detach, Records,
                                         HighWater);
+}
+
+/// A word alone on its cache line. The guard fast paths read their
+/// domain's epoch or clock on every operation; anything written beside
+/// it would invalidate every reader's copy of the line on each write.
+template <class T> struct alignas(CacheLineBytes) LineOwned {
+  std::atomic<T> Word;
+};
+static_assert(sizeof(LineOwned<uint64_t>) == CacheLineBytes &&
+                  alignof(LineOwned<uint64_t>) == CacheLineBytes,
+              "a line-owned word must fill its line");
+
+/// Adds \p Delta to a count cell of the calling thread's own record: a
+/// plain load and store, not a lock-prefixed RMW, race-free because only
+/// the record's owner writes it (the stats layer's Shard pattern). A
+/// recycled record keeps its cells, and the claim's acquire of InUse
+/// orders the previous owner's last store before the next owner's first.
+inline void addOwnedCount(std::atomic<uint64_t> &Cell, uint64_t Delta = 1) {
+  Cell.store(Cell.load(std::memory_order_relaxed) + Delta,
+             std::memory_order_relaxed);
+}
+
+/// Sum of the count cell \p Cell over every record of a domain, claimed
+/// or not (an unclaimed record has counted nothing, or keeps what its
+/// last owner counted). Cells are read one at a time: exact once the
+/// counting threads are quiescent or joined.
+template <class RecordT>
+uint64_t sumRecordCounts(const std::vector<RecordT> &Records,
+                         std::atomic<uint64_t> RecordT::*Cell) {
+  uint64_t Sum = 0;
+  for (const RecordT &Record : Records)
+    Sum += (Record.*Cell).load(std::memory_order_relaxed);
+  return Sum;
 }
 
 } // namespace reclaim

@@ -48,7 +48,14 @@
 /// When the global epoch has not moved since this thread's previous
 /// guard — the common case in a hot loop — the validation loop is
 /// skipped entirely: re-announcing the identical word cannot pin
-/// anything the previous guard did not already pin.
+/// anything the previous guard did not already pin. Guard entry and
+/// exit are always inlined; the validation loop is out of line.
+///
+/// Nothing written per operation shares the global epoch's line: the
+/// epoch sits on a line of its own, and the retired/freed counts are
+/// owner-written cells of each thread record, summed only when asked
+/// for. A shared `lock add` counter beside the epoch would make every
+/// retire invalidate every guard's epoch read.
 ///
 /// The domain is templated on the repo's access-Policy concept. The
 /// production alias `EpochDomain` uses DirectPolicy (zero overhead);
@@ -135,9 +142,9 @@ public:
     ThreadRecord *Record = attachCurrentThread();
     Record->RetireList.push_back(
         {Ptr, Deleter,
-         Policy::read(GlobalEpoch, std::memory_order_acquire, &GlobalEpoch,
-                      MemField::Epoch)});
-    Retired.fetch_add(1, std::memory_order_relaxed);
+         Policy::read(GlobalEpoch.Word, std::memory_order_acquire,
+                      &GlobalEpoch.Word, MemField::Epoch)});
+    addOwnedCount(Record->Retired);
     stats::bump(stats::Counter::EpochRetired);
     // Attempt collection every CollectThreshold retirements, not on every
     // retirement past the threshold: when a preempted reader pins an old
@@ -160,24 +167,25 @@ public:
     for (int Round = 0; Round != 3; ++Round) {
       tryAdvanceEpoch();
       const uint64_t Global =
-          GlobalEpoch.load(std::memory_order_acquire);
-      freeSafe(Record->RetireList, Global - 2);
+          GlobalEpoch.Word.load(std::memory_order_acquire);
+      freeSafe(Record, Record->RetireList, Global - 2);
       std::lock_guard<std::mutex> Lock(OrphanMutex);
-      freeSafe(Orphans, Global - 2);
+      freeSafe(Record, Orphans, Global - 2);
       OrphanCount.store(Orphans.size(), std::memory_order_release);
     }
   }
 
   uint64_t globalEpoch() const {
-    return GlobalEpoch.load(std::memory_order_acquire);
+    return GlobalEpoch.Word.load(std::memory_order_acquire);
   }
 
-  /// Observability for tests and the reclamation benchmark.
+  /// Observability for tests and the reclamation benchmark: sums over
+  /// every thread record, exact once the counting threads are quiescent.
   uint64_t freedCount() const {
-    return Freed.load(std::memory_order_relaxed);
+    return sumRecordCounts(Records, &ThreadRecord::Freed);
   }
   uint64_t retiredCount() const {
-    return Retired.load(std::memory_order_relaxed);
+    return sumRecordCounts(Records, &ThreadRecord::Retired);
   }
 
 private:
@@ -204,7 +212,13 @@ private:
     uint64_t LastWord = 0;
     /// Owner-thread-only while attached; handed to the domain on detach.
     std::vector<RetiredPtr> RetireList;
+    /// Pointers this record's owners retired, and freed (their own or
+    /// orphans). Owner-written (addOwnedCount), kept across recycling.
+    std::atomic<uint64_t> Retired{0};
+    std::atomic<uint64_t> Freed{0};
   };
+  static_assert(sizeof(ThreadRecord) == CacheLineBytes,
+                "an EBR thread record is one line");
 
   VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
     return attachThreadRecord(DomainId, this, &detachTrampoline, Records,
@@ -245,27 +259,49 @@ private:
     Record->InUse.store(false, std::memory_order_release);
   }
 
+  /// Re-announces until the announced epoch matches a global-epoch read
+  /// made *after* the announcement fence; on exit at most one concurrent
+  /// advance can have missed the guard, which the retire grace period
+  /// (e + 2) absorbs. Out of line: it runs only when the epoch moved
+  /// since this thread's previous guard.
+  VBL_NOINLINE void reannounce(ThreadRecord *Record, uint64_t Epoch) {
+    uint64_t Word = (Epoch << 1) | 1;
+    for (;;) {
+      const uint64_t Now =
+          Policy::read(GlobalEpoch.Word, std::memory_order_seq_cst,
+                       &GlobalEpoch.Word, MemField::Epoch);
+      if (Now == Epoch)
+        break;
+      Epoch = Now;
+      Word = (Epoch << 1) | 1;
+      Policy::exchange(Record->Announce, Word, std::memory_order_seq_cst,
+                       Record, MemField::Epoch);
+    }
+    Record->LastWord = Word;
+  }
+
   /// Tries to advance the global epoch, then frees everything in
   /// \p Record, and on the orphan list, that became safe.
   void collect(ThreadRecord *Record) {
     tryAdvanceEpoch();
-    const uint64_t Global = GlobalEpoch.load(std::memory_order_acquire);
+    const uint64_t Global =
+        GlobalEpoch.Word.load(std::memory_order_acquire);
     // Retired in epoch e, safe once Global >= e + 2: every reader active
     // now announced at least e + 1 > e after the unlink became visible.
-    freeSafe(Record->RetireList, Global - 2);
+    freeSafe(Record, Record->RetireList, Global - 2);
     if (OrphanCount.load(std::memory_order_acquire) == 0)
       return; // Common case: no backlog, no lock traffic.
     std::unique_lock<std::mutex> Lock(OrphanMutex, std::try_to_lock);
     if (!Lock.owns_lock())
       return; // Someone else is freeing them; don't serialize retire().
-    freeSafe(Orphans, Global - 2);
+    freeSafe(Record, Orphans, Global - 2);
     OrphanCount.store(Orphans.size(), std::memory_order_release);
   }
 
   bool tryAdvanceEpoch() {
     const uint64_t Current =
-        Policy::read(GlobalEpoch, std::memory_order_seq_cst, &GlobalEpoch,
-                     MemField::Epoch);
+        Policy::read(GlobalEpoch.Word, std::memory_order_seq_cst,
+                     &GlobalEpoch.Word, MemField::Epoch);
     const uint32_t HW = HighWater.load(std::memory_order_acquire);
     for (uint32_t I = 0; I != HW; ++I) {
       ThreadRecord &Record = Records[I];
@@ -297,15 +333,18 @@ private:
       }
     }
     uint64_t Expected = Current;
-    if (Policy::casStrong(GlobalEpoch, Expected, Current + 1,
-                          std::memory_order_acq_rel, &GlobalEpoch,
+    if (Policy::casStrong(GlobalEpoch.Word, Expected, Current + 1,
+                          std::memory_order_acq_rel, &GlobalEpoch.Word,
                           MemField::Epoch))
       stats::bump(stats::Counter::EpochAdvances);
     // Either we advanced or someone else did; both count as progress.
     return true;
   }
 
-  void freeSafe(std::vector<RetiredPtr> &List, uint64_t SafeEpoch) {
+  /// Frees the entries of \p List retired at or before \p SafeEpoch,
+  /// counting them on \p Record (the calling thread's own).
+  void freeSafe(ThreadRecord *Record, std::vector<RetiredPtr> &List,
+                uint64_t SafeEpoch) {
     size_t Kept = 0;
     uint64_t FreedHere = 0;
     for (size_t I = 0, E = List.size(); I != E; ++I) {
@@ -318,17 +357,17 @@ private:
     }
     List.resize(Kept);
     if (FreedHere) {
-      Freed.fetch_add(FreedHere, std::memory_order_relaxed);
+      addOwnedCount(Record->Freed, FreedHere);
       stats::bump(stats::Counter::EpochFreed, FreedHere);
     }
   }
 
   const uint64_t DomainId;
-  alignas(CacheLineBytes) std::atomic<uint64_t> GlobalEpoch{2};
   std::atomic<uint32_t> HighWater{0}; ///< One past the highest slot used.
-  std::atomic<uint64_t> Freed{0};
-  std::atomic<uint64_t> Retired{0};
   std::vector<ThreadRecord> Records;
+  /// Read by every guard entry and retire, written only by an advance:
+  /// alone on its line (LineOwned).
+  LineOwned<uint64_t> GlobalEpoch{2};
 
   /// Retire lists of threads that exited while the domain lives on.
   std::mutex OrphanMutex;
@@ -343,7 +382,7 @@ public:
   /// nodes unlinked after entry will not be freed until exit.
   class Guard {
   public:
-    explicit Guard(BasicEpochDomain &Domain)
+    VBL_ALWAYS_INLINE explicit Guard(BasicEpochDomain &Domain)
         : Domain(Domain), Record(Domain.attachCurrentThread()) {
       if (Record->Depth != 0) {
         // Nested guard: the outermost entry already announced.
@@ -351,40 +390,24 @@ public:
         return;
       }
       Record->Depth = 1;
-      uint64_t Epoch =
-          Policy::read(Domain.GlobalEpoch, std::memory_order_acquire,
-                       &Domain.GlobalEpoch, MemField::Epoch);
-      uint64_t Word = (Epoch << 1) | 1;
+      const uint64_t Epoch =
+          Policy::read(Domain.GlobalEpoch.Word, std::memory_order_acquire,
+                       &Domain.GlobalEpoch.Word, MemField::Epoch);
+      const uint64_t Word = (Epoch << 1) | 1;
       // One fence-bearing RMW publishes both the active bit and the
       // epoch (the first implementation paid two seq_cst stores here).
       Policy::exchange(Record->Announce, Word, std::memory_order_seq_cst,
                        Record, MemField::Epoch);
-      if (Word == Record->LastWord)
-        // The global epoch has not moved since this thread's previous
-        // guard, so the validation below cannot observe anything new:
-        // re-announcing the identical word pins exactly what the
-        // previous guard pinned. This is the hot-loop fast path.
-        return;
-      // An advance may have slipped between the epoch read and the
-      // exchange. Re-announce until the announced epoch matches a
-      // global-epoch read made *after* the announcement fence; on exit
-      // at most one concurrent advance can have missed us, which the
-      // retire grace period (e + 2) absorbs.
-      for (;;) {
-        const uint64_t Now =
-            Policy::read(Domain.GlobalEpoch, std::memory_order_seq_cst,
-                         &Domain.GlobalEpoch, MemField::Epoch);
-        if (Now == Epoch)
-          break;
-        Epoch = Now;
-        Word = (Epoch << 1) | 1;
-        Policy::exchange(Record->Announce, Word, std::memory_order_seq_cst,
-                         Record, MemField::Epoch);
-      }
-      Record->LastWord = Word;
+      // When the global epoch has not moved since this thread's previous
+      // guard, validation cannot observe anything new: re-announcing the
+      // identical word pins exactly what the previous guard pinned. This
+      // is the hot-loop fast path. Otherwise an advance may have slipped
+      // between the epoch read and the exchange.
+      if (VBL_UNLIKELY(Word != Record->LastWord))
+        Domain.reannounce(Record, Epoch);
     }
 
-    ~Guard() {
+    VBL_ALWAYS_INLINE ~Guard() {
       VBL_ASSERT(Record->Depth > 0, "guard exit without matching entry");
       if (--Record->Depth != 0)
         return;

@@ -90,7 +90,7 @@ void HazardPointerDomain::retireRaw(void *Ptr, void (*Deleter)(void *)) {
   VBL_ASSERT(Ptr, "retiring null");
   ThreadRecord *Record = attachCurrentThread();
   Record->RetireList.push_back({Ptr, Deleter});
-  Retired.fetch_add(1, std::memory_order_relaxed);
+  addOwnedCount(Record->Retired);
   stats::bump(stats::Counter::HpRetired);
   // Watermark, not plain threshold: after a scan keeps K protected
   // pointers, the next scan waits for K + threshold retirees. A plain
@@ -99,12 +99,13 @@ void HazardPointerDomain::retireRaw(void *Ptr, void (*Deleter)(void *)) {
   const size_t Trigger = std::max(Record->NextScanAt, Threshold);
   if (Record->RetireList.size() >= Trigger) {
     adoptOrphans(Record);
-    const size_t Kept = scan(Record->RetireList);
+    const size_t Kept = scan(Record, Record->RetireList);
     Record->NextScanAt = Kept + Threshold;
   }
 }
 
-size_t HazardPointerDomain::scan(std::vector<RetiredPtr> &List) {
+size_t HazardPointerDomain::scan(ThreadRecord *Self,
+                                 std::vector<RetiredPtr> &List) {
   // Stage 1: snapshot every published hazard.
   std::vector<void *> Protected;
   Protected.reserve(64);
@@ -132,9 +133,8 @@ size_t HazardPointerDomain::scan(std::vector<RetiredPtr> &List) {
     ++FreedHere;
   }
   List.resize(Kept);
-  if (FreedHere)
-    Freed.fetch_add(FreedHere, std::memory_order_relaxed);
-  Scans.fetch_add(1, std::memory_order_relaxed);
+  addOwnedCount(Self->Freed, FreedHere);
+  addOwnedCount(Self->Scans);
   stats::bump(stats::Counter::HpScans);
   stats::bump(stats::Counter::HpFreed, FreedHere);
   stats::bump(stats::Counter::HpScanKept, Kept);
@@ -143,11 +143,11 @@ size_t HazardPointerDomain::scan(std::vector<RetiredPtr> &List) {
 
 void HazardPointerDomain::collectAll() {
   ThreadRecord *Record = attachCurrentThread();
-  const size_t Kept = scan(Record->RetireList);
+  const size_t Kept = scan(Record, Record->RetireList);
   Record->NextScanAt = Kept + Threshold;
   std::lock_guard<std::mutex> Lock(OrphanMutex);
   const size_t HadOrphans = Orphans.size();
-  const size_t OrphansKept = scan(Orphans);
+  const size_t OrphansKept = scan(Record, Orphans);
   OrphanCount.store(OrphansKept, std::memory_order_release);
   stats::bump(stats::Counter::HpOrphanBacklog,
               uint64_t(0) - (HadOrphans - OrphansKept));

@@ -27,6 +27,10 @@
 ///    pressure, so the orphan backlog drains without anyone having to
 ///    call collectAll().
 ///
+/// The retired/freed/scan counts are owner-written cells of the thread
+/// records, summed on demand, like the epoch and VBR domains' counts: a
+/// retire writes nothing another thread reads on every operation.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VBL_RECLAIM_HAZARDPOINTERDOMAIN_H
@@ -74,15 +78,17 @@ public:
   /// Scans and frees whatever is unprotected right now (teardown/tests).
   void collectAll();
 
+  /// Sums over every thread record, exact once the counting threads are
+  /// quiescent.
   uint64_t freedCount() const {
-    return Freed.load(std::memory_order_relaxed);
+    return sumRecordCounts(Records, &ThreadRecord::Freed);
   }
   uint64_t retiredCount() const {
-    return Retired.load(std::memory_order_relaxed);
+    return sumRecordCounts(Records, &ThreadRecord::Retired);
   }
   /// Full hazard-array scans performed so far (watermark test hook).
   uint64_t scanCount() const {
-    return Scans.load(std::memory_order_relaxed);
+    return sumRecordCounts(Records, &ThreadRecord::Scans);
   }
   /// Retirees currently parked on the orphan list (backlog test hook).
   size_t orphanBacklog() const {
@@ -104,6 +110,12 @@ private:
     /// kept + threshold after every scan so pinned survivors cannot
     /// trigger a scan per retire (owner-thread-only, like RetireList).
     size_t NextScanAt = 0;
+    /// Pointers this record's owners retired and freed (their own or
+    /// adopted orphans), and scans they ran. Owner-written
+    /// (addOwnedCount), kept across recycling.
+    std::atomic<uint64_t> Retired{0};
+    std::atomic<uint64_t> Freed{0};
+    std::atomic<uint64_t> Scans{0};
   };
 
   VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
@@ -112,17 +124,15 @@ private:
   }
   static void detachTrampoline(void *Domain, void *Record);
   void detach(ThreadRecord *Record);
-  /// Scans hazards and frees unprotected entries of \p List; returns how
-  /// many entries survived (still protected).
-  size_t scan(std::vector<RetiredPtr> &List);
+  /// Scans hazards and frees unprotected entries of \p List, counting
+  /// on \p Self (the calling thread's own record); returns how many
+  /// entries survived (still protected).
+  size_t scan(ThreadRecord *Self, std::vector<RetiredPtr> &List);
   void adoptOrphans(ThreadRecord *Record);
 
   const uint64_t DomainId;
   const size_t Threshold;
   std::atomic<uint32_t> HighWater{0};
-  std::atomic<uint64_t> Freed{0};
-  std::atomic<uint64_t> Retired{0};
-  std::atomic<uint64_t> Scans{0};
   std::vector<ThreadRecord> Records;
 
   std::mutex OrphanMutex;

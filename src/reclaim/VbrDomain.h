@@ -52,7 +52,10 @@
 /// exchange per operation), retirement is one release store plus a
 /// thread-local free-list push, and reuse hands back a cache-warm
 /// block with no grace period — the properties that close the gap to
-/// the leaky domain on update-heavy workloads (EXPERIMENTS.md).
+/// the leaky domain on update-heavy workloads (EXPERIMENTS.md). The
+/// clock therefore sits on a cache line of its own, and the retired and
+/// reused counts are owner-written cells of the thread records: nothing
+/// a retire or a reuse writes shares the line every guard reads.
 ///
 /// retireRaw (the type-erased hook the split-ordered hash layer uses
 /// for displaced bucket-index segments) cannot be version-checked —
@@ -202,7 +205,7 @@ public:
     if (H) {
       Fresh = false;
       stampBirth(H);
-      Reused.fetch_add(1, std::memory_order_relaxed);
+      addOwnedCount(Record->Reused);
       stats::bump(stats::Counter::VbrReused);
       return reinterpret_cast<char *>(H) + HeaderBytes;
     }
@@ -225,13 +228,14 @@ public:
   template <class T> void retireNode(T *Ptr) {
     VBL_ASSERT(Ptr, "retiring null");
     BlockHeader *H = headerOf(Ptr);
-    const uint64_t C = Policy::read(Clock, std::memory_order_acquire, &Clock,
-                                    MemField::Epoch);
+    const uint64_t C = Policy::read(Clock.Word, std::memory_order_acquire,
+                                    &Clock.Word, MemField::Epoch);
     Policy::write(H->Retire, C, std::memory_order_release, H,
                   MemField::Epoch);
-    Retired.fetch_add(1, std::memory_order_relaxed);
+    ThreadRecord *Record = attachCurrentThread();
+    addOwnedCount(Record->Retired);
     stats::bump(stats::Counter::VbrRetired);
-    pushLocal(attachCurrentThread(), classOf(H), H);
+    pushLocal(Record, classOf(H), H);
   }
 
   /// Returns a never-published node (a speculative insert that lost).
@@ -262,7 +266,7 @@ public:
   /// (bounded: displaced index segments sum below the final index).
   void retireRaw(void *Ptr, void (*Deleter)(void *)) {
     VBL_ASSERT(Ptr, "retiring null");
-    Retired.fetch_add(1, std::memory_order_relaxed);
+    addOwnedCount(attachCurrentThread()->Retired);
     stats::bump(stats::Counter::VbrRetired);
     std::lock_guard<std::mutex> Lock(RawMutex);
     RawRetirees.push_back({Ptr, Deleter});
@@ -273,22 +277,21 @@ public:
   /// deliberately wait for teardown; see retireRaw.)
   void collectAll() {}
 
-  /// Observability for tests and the reclamation benchmarks. VBR frees
-  /// nothing mid-life, so "freed" reports blocks whose memory was made
-  /// reusable again by an in-place revival — the VBR analogue of a
-  /// grace-period free.
-  uint64_t freedCount() const {
-    return Reused.load(std::memory_order_relaxed);
-  }
+  /// Observability for tests and the reclamation benchmarks: sums over
+  /// every thread record, exact once the counting threads are quiescent.
+  /// VBR frees nothing mid-life, so "freed" reports blocks whose memory
+  /// was made reusable again by an in-place revival — the VBR analogue
+  /// of a grace-period free.
+  uint64_t freedCount() const { return reusedCount(); }
   uint64_t retiredCount() const {
-    return Retired.load(std::memory_order_relaxed);
+    return sumRecordCounts(Records, &ThreadRecord::Retired);
   }
   uint64_t reusedCount() const {
-    return Reused.load(std::memory_order_relaxed);
+    return sumRecordCounts(Records, &ThreadRecord::Reused);
   }
 
   uint64_t clock() const {
-    return Clock.load(std::memory_order_acquire);
+    return Clock.Word.load(std::memory_order_acquire);
   }
 
   /// Test hook: plants the version clock (e.g. at UINT64_MAX so the
@@ -296,7 +299,7 @@ public:
   /// must be nonzero (0 is reserved for first-incarnation births).
   void setClockForTest(uint64_t Value) {
     VBL_ASSERT(Value != 0, "clock value 0 is reserved");
-    Clock.store(Value, std::memory_order_release);
+    Clock.Word.store(Value, std::memory_order_release);
   }
 
   /// RAII read-side section: one acquire load of the clock — the whole
@@ -307,8 +310,8 @@ public:
   class Guard {
   public:
     explicit Guard(BasicVbrDomain &Domain) : Domain(Domain) {
-      Version = Policy::read(Domain.Clock, std::memory_order_acquire,
-                             &Domain.Clock, MemField::Epoch);
+      Version = Policy::read(Domain.Clock.Word, std::memory_order_acquire,
+                             &Domain.Clock.Word, MemField::Epoch);
     }
 
     Guard(const Guard &) = delete;
@@ -320,8 +323,8 @@ public:
     /// the reject: every refresh is one detected stale read.
     uint64_t refresh() {
       stats::bump(stats::Counter::VbrBirthRejects);
-      Version = Policy::read(Domain.Clock, std::memory_order_acquire,
-                             &Domain.Clock, MemField::Epoch);
+      Version = Policy::read(Domain.Clock.Word, std::memory_order_acquire,
+                             &Domain.Clock.Word, MemField::Epoch);
       return Version;
     }
 
@@ -339,6 +342,10 @@ private:
     /// Intrusive LIFO free list per size class. Owner-thread-only.
     std::array<BlockHeader *, NodePool::NumClasses> Free{};
     std::array<uint32_t, NodePool::NumClasses> Count{};
+    /// Blocks this record's owners retired, and revived in place.
+    /// Owner-written (addOwnedCount), kept across recycling.
+    std::atomic<uint64_t> Retired{0};
+    std::atomic<uint64_t> Reused{0};
   };
 
   struct SharedList {
@@ -365,8 +372,8 @@ private:
   void stampBirth(BlockHeader *H) {
     const uint64_t R = Policy::read(H->Retire, std::memory_order_acquire, H,
                                     MemField::Epoch);
-    uint64_t C = Policy::read(Clock, std::memory_order_acquire, &Clock,
-                              MemField::Epoch);
+    uint64_t C = Policy::read(Clock.Word, std::memory_order_acquire,
+                              &Clock.Word, MemField::Epoch);
     if (C == R) {
       // The clock skips 0 on rollover: birth 0 is reserved for first
       // incarnations, which validAt accepts unconditionally — a revival
@@ -374,12 +381,13 @@ private:
       uint64_t Bumped = C + 1;
       if (Bumped == 0)
         Bumped = 1;
-      if (Policy::casStrong(Clock, C, Bumped, std::memory_order_acq_rel,
-                            &Clock, MemField::Epoch))
+      if (Policy::casStrong(Clock.Word, C, Bumped,
+                            std::memory_order_acq_rel, &Clock.Word,
+                            MemField::Epoch))
         stats::bump(stats::Counter::VbrClockBumps);
       // Either we advanced or a concurrent reviver did; both put the
       // clock past R.
-      C = Policy::read(Clock, std::memory_order_acquire, &Clock,
+      C = Policy::read(Clock.Word, std::memory_order_acquire, &Clock.Word,
                        MemField::Epoch);
     }
     // Release: the caller's field revival stores are also release, so a
@@ -475,12 +483,12 @@ private:
   }
 
   const uint64_t DomainId;
-  /// The version clock. Starts above 0 so fresh blocks' birth 0 is
-  /// strictly in the past of every possible start version.
-  alignas(CacheLineBytes) std::atomic<uint64_t> Clock{1};
-  std::atomic<uint64_t> Retired{0};
-  std::atomic<uint64_t> Reused{0};
   std::vector<ThreadRecord> Records;
+  /// The version clock, read by every guard and retire and written only
+  /// by a same-epoch turnaround's bump: alone on its line (LineOwned).
+  /// Starts above 0 so fresh blocks' birth 0 is strictly in the past of
+  /// every possible start version.
+  LineOwned<uint64_t> Clock{1};
 
   std::mutex SharedMutex;
   std::array<SharedList, NodePool::NumClasses> Shared{};

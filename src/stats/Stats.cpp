@@ -141,7 +141,7 @@ const char *histogramName(Histogram H) {
 
 namespace detail {
 
-thread_local Shard *TlsShard = nullptr;
+constinit thread_local Shard *TlsShard = nullptr;
 
 namespace {
 

@@ -304,7 +304,10 @@ struct alignas(CacheLineBytes) Shard {
 
 /// The calling thread's shard, or null before first use / after TLS
 /// teardown. Header-visible so bump() is a load + test + add when hot.
-extern thread_local Shard *TlsShard;
+/// constinit: the slot is constant-initialized, so every call site reads
+/// it directly instead of first calling the TLS init wrapper a plain
+/// `extern thread_local` forces on each access from another TU.
+extern constinit thread_local Shard *TlsShard;
 
 /// Slow path: attach a shard to this thread (or route to the shared
 /// teardown shard) and apply the bump there.
