@@ -409,6 +409,14 @@ private:
         vbl_unreachable("lockNextAt validated the successor identity");
       if (!lockNextAt(Victim, Succ, G)) {
         Prev->NodeLock.template release<Policy>(Prev);
+        // VBR: the walk stops at Victim and never certifies Succ, so a
+        // Succ revived after the guard's version fails this check on
+        // every restart unless the version moves on. Restarts re-enter
+        // at a never-retired anchor, so refreshing here is as safe as
+        // the walk's own refresh.
+        if constexpr (Versioned)
+          if (!Domain.validAt(Succ, G.version()))
+            G.refresh();
         Policy::onRestart();
         continue;
       }

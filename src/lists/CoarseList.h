@@ -26,6 +26,11 @@ namespace vbl {
 
 class CoarseList {
 public:
+  /// contains() takes the global mutex like every update, so readers
+  /// serialize with each other: the sharded front-end combines batches
+  /// over this list (SetAdapter::readsTakeLocks).
+  static constexpr bool ReadsTakeLocks = true;
+
   bool insert(SetKey Key) {
     std::lock_guard<std::mutex> Lock(Mutex);
     return Inner.insert(Key);

@@ -52,6 +52,12 @@ public:
   /// unlinked nodes must never be tracked (they are gone).
   static constexpr analysis::FlowTraits Flow{.HasMark = false};
 
+  /// contains() couples locks from the head like every update, so
+  /// readers queue behind each other on the shared prefix: the sharded
+  /// front-end combines batches over this list
+  /// (SetAdapter::readsTakeLocks).
+  static constexpr bool ReadsTakeLocks = true;
+
   HandOverHandList() {
     Tail = new Node(MaxSentinel);
     Head = new Node(MinSentinel);

@@ -80,6 +80,12 @@ public:
   /// Registry name of the algorithm backing this instance.
   virtual const std::string &name() const = 0;
 
+  /// Whether membership tests take locks, so concurrent readers
+  /// serialize with each other and with updates (coarse and
+  /// hand-over-hand locking). False for the optimistic and lock-free
+  /// lists, whose reads take no lock at all.
+  virtual bool readsTakeLocks() const { return false; }
+
 protected:
   void applyOneOf(BatchOp &O) {
     switch (O.Op) {
@@ -116,6 +122,13 @@ template <class T>
 struct HasBucketCount<
     T, std::void_t<decltype(std::declval<T &>().bucketCount())>>
     : std::true_type {};
+
+/// Reads `T::ReadsTakeLocks`, which the lock-reading lists declare;
+/// false for every list that does not.
+template <class T, class = void> struct ReadsTakeLocks : std::false_type {};
+template <class T>
+struct ReadsTakeLocks<T, std::void_t<decltype(T::ReadsTakeLocks)>>
+    : std::bool_constant<T::ReadsTakeLocks> {};
 } // namespace detail
 
 /// Wraps any concrete list type that provides the common template API.
@@ -171,6 +184,9 @@ public:
   std::vector<SetKey> snapshot() const override { return List.snapshot(); }
   bool checkInvariants() const override { return List.checkInvariants(); }
   const std::string &name() const override { return Name; }
+  bool readsTakeLocks() const override {
+    return detail::ReadsTakeLocks<ListT>::value;
+  }
 
   ListT &underlying() { return List; }
 

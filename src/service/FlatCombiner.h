@@ -15,6 +15,13 @@
 /// therefore pays for all waiters' batches, and the combiner walks hot
 /// list prefixes with a warm cache on behalf of everyone.
 ///
+/// ShardedSet combines only over backends whose reads take locks
+/// (`coarse`, `hand-over-hand`; ConcurrentSet::readsTakeLocks). Their
+/// sessions would queue on the list's own locks anyway, so one
+/// combiner serving them all costs no parallelism. The optimistic and
+/// lock-free lists let sessions apply batches side by side; behind a
+/// combiner they would only wait, so they take the direct batch path.
+///
 /// Correctness does not depend on combining being exclusive: the
 /// backend is a linearizable concurrent set, so ops applied by a
 /// combiner and ops applied directly (the path of sessions beyond the

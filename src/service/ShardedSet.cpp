@@ -65,6 +65,8 @@ std::unique_ptr<ShardedSet> ShardedSet::create(const Options &Opts,
     }
     Front->Shards.push_back(std::move(S));
   }
+  Front->Combining = Opts.Combine == CombineMode::On &&
+                     Front->Shards.front()->Set->readsTakeLocks();
   return Front;
 }
 
@@ -149,9 +151,10 @@ void ShardedSet::runOnShard(unsigned SessionIdx, unsigned ShardIdx,
                             BatchOp *Ops, uint32_t Count) {
   Shard &S = *Shards[ShardIdx];
   stats::histogramAdd(stats::Histogram::ServiceVisitOps, Count);
-  // Sessions beyond the slot array degrade to direct access: the
-  // backend is linearizable either way, combining only amortizes.
-  if (Opts.Combine == CombineMode::Off || SessionIdx >= CombinerSlots) {
+  // Backends whose reads take no lock, and sessions beyond the slot
+  // array, apply directly: the backend is linearizable either way,
+  // combining only amortizes.
+  if (!Combining || SessionIdx >= CombinerSlots) {
     S.Set->applyBatch(Ops, Count);
     stats::bump(stats::Counter::ServiceOpsDirect, Count);
     return;

@@ -20,6 +20,8 @@
 ///  - flat-combined: a session publishes its batch in a per-shard slot
 ///    and either finds it drained by another session's combine round or
 ///    takes the combiner lock and drains everyone (FlatCombiner.h).
+///    Only backends whose reads take locks combine (CombineMode::On);
+///    every other backend takes the batched path.
 ///
 /// Per-key linearizability: shardOf is a pure function of the key, so
 /// all ops on one key serialize through one linearizable backend
@@ -53,9 +55,18 @@ namespace vbl {
 namespace service {
 
 /// Per-shard access discipline for Session-routed operations.
+///
+/// Combining serializes a shard's batches behind one combiner. That
+/// pays only where the backend serializes its readers anyway
+/// (ConcurrentSet::readsTakeLocks: `coarse`, `hand-over-hand`): one
+/// combiner walking the shard beats sessions queueing on the list's
+/// own locks. The optimistic and lock-free backends (the VBL family,
+/// lazy, Harris-Michael, ...) accept concurrent readers and writers,
+/// so under On their sessions apply batches directly, side by side,
+/// rather than wait for a combiner.
 enum class CombineMode : uint8_t {
   Off, ///< Always direct (per-op or batched) backend access.
-  On,  ///< Every shard visit goes through the combining protocol.
+  On,  ///< Shard visits combine where the backend's reads take locks.
 };
 
 const char *combineModeName(CombineMode Mode);
@@ -86,6 +97,8 @@ public:
     unsigned Shards = 8;
     /// Ops queued per (session, shard) before a flush; 1 = per-op.
     unsigned BatchSize = 1;
+    /// On combines only over a backend whose reads take locks; see
+    /// CombineMode.
     CombineMode Combine = CombineMode::Off;
   };
 
@@ -218,6 +231,10 @@ private:
   Options Opts;
   std::string Name;
   std::vector<std::unique_ptr<Shard>> Shards;
+  /// Combine is On and the backend's reads take locks: session visits
+  /// run through each shard's CombinerShard, else straight into the
+  /// backend.
+  bool Combining = false;
   /// Bit i set while a session holds combiner slot i.
   std::atomic<uint64_t> SlotsInUse{0};
   static_assert(CombinerSlots == 64, "SlotsInUse has one bit per slot");

@@ -17,7 +17,8 @@
 ///    acquire loads through the stamped birth).
 ///  - stamp-vs-validate: an updater's lock validators re-certify the
 ///    (prev, curr) placement while another thread retires and revives
-///    those very blocks.
+///    those very blocks, and a remove whose unlink target's successor
+///    was revived after the remove began still finishes.
 ///  - version-clock rollover: the same scenarios with the clock planted
 ///    at UINT64_MAX, so every retire/revive crosses the u64 wrap and
 ///    the signed-distance birth compare is what keeps readers sound.
@@ -239,6 +240,51 @@ template <class ListT> void expectScanRestartDiscardsCollect() {
   for (const Event &E : Sched.trace())
     Restarted |= E.Thread == 1 && E.Kind == EventKind::Restart;
   EXPECT_TRUE(Restarted) << Sched.schedule().toString();
+}
+
+/// remove(3) on {3, 7} while another thread runs remove(7); insert(5).
+/// The insert revives 7's block as 5, right behind 3 and born after
+/// the remover's guard version. The remover's unlink validation,
+/// lockNextAt(3, successor), rejects that young successor, and its
+/// restart walk stops at 3 without visiting it: unless the remove
+/// refreshes its version, it retries the same rejected window forever
+/// on a list nobody else touches.
+TEST(VbrReclaimTest, VblListRemoveOutlivesRevivedSuccessor) {
+  using ListT = VblList<TracedVbrDomain, TracedPolicy>;
+  auto List = std::make_shared<ListT>();
+  List->insert(3);
+  List->insert(7);
+  bool Removed = false;
+  std::vector<std::function<void()>> Bodies;
+  Bodies.push_back([List, &Removed] { Removed = List->remove(3); });
+  Bodies.push_back([List] {
+    List->remove(7);
+    List->insert(5);
+  });
+  StepScheduler Sched(std::move(Bodies));
+  // Thread 0 takes its guard and walks until it reads node 3's key.
+  const auto ReadKey3 = [&Sched] {
+    for (const Event &E : Sched.trace())
+      if (E.Thread == 0 && E.Kind == EventKind::Read &&
+          E.Field == MemField::Val && E.Value == 3)
+        return true;
+    return false;
+  };
+  for (int I = 0; I != 300 && Sched.runnable(0) && !ReadKey3(); ++I)
+    Sched.step(0);
+  ASSERT_TRUE(ReadKey3());
+  while (Sched.runnable(1))
+    Sched.step(1);
+  ASSERT_TRUE(Sched.finished(1));
+  ASSERT_GT(List->reclaimDomain().reusedCount(), 0u)
+      << "the insert did not revive 7's block";
+  // A few restarts at most; the unfixed remove never finishes.
+  for (int I = 0; I != 5000 && Sched.runnable(0); ++I)
+    Sched.step(0);
+  ASSERT_TRUE(Sched.finished(0)) << "remove(3) is stuck restarting";
+  EXPECT_TRUE(Removed);
+  EXPECT_EQ(List->snapshot(), std::vector<SetKey>{5});
+  EXPECT_TRUE(List->checkInvariants());
 }
 
 TEST(VbrReclaimTest, VblListScanRestartDiscardsPartialCollect) {

@@ -8,7 +8,8 @@
 /// Correctness of the sharded serving front-end across its access
 /// disciplines (direct / batched / flat-combined) and a spread of
 /// backends (flat VBL over VBR, the chunked list, and the split-ordered
-/// hash over VBL+VBR):
+/// hash over VBL+VBR; combining also over the two lists whose reads
+/// take locks, the only backends that combine):
 ///
 ///  - sequential differential: session-routed ops vs std::set, with
 ///    results checked in completion order (batch flushes included);
@@ -21,6 +22,7 @@
 ///    slot array apply directly while the others combine;
 ///  - combiner slots: returned on close or destruction, handed over by
 ///    a move, and reused by later sessions;
+///  - which backends combine: exactly those whose reads take locks;
 ///  - the registry suggestion path for unknown backend names.
 ///
 //===----------------------------------------------------------------------===//
@@ -46,6 +48,10 @@ namespace {
 
 const char *const Backends[] = {"vbl-vbr", "vbl-chunk",
                                 "so-hash-vbl-vbr-resize"};
+
+/// The backends whose reads take locks: under CombineMode::On only
+/// these run through the combiner, so the combining suites add them.
+const char *const CombiningBackends[] = {"coarse", "hand-over-hand"};
 
 ShardedSet::Options options(const std::string &Backend, unsigned Shards,
                             unsigned Batch, CombineMode Mode) {
@@ -145,6 +151,8 @@ TEST(ShardedSetTest, SequentialDifferentialPerOp) {
 
 TEST(ShardedSetTest, SequentialDifferentialCombining) {
   for (const char *Backend : Backends)
+    sequentialDifferential(Backend, 8, CombineMode::On);
+  for (const char *Backend : CombiningBackends)
     sequentialDifferential(Backend, 8, CombineMode::On);
 }
 
@@ -267,7 +275,9 @@ TEST(ShardedSetTest, LinearizableBatched) {
 }
 
 TEST(ShardedSetTest, LinearizableCombining) {
-  for (const char *Backend : Backends) {
+  for (const char *Backend : Backends)
+    concurrentLincheck(Backend, 4, CombineMode::On);
+  for (const char *Backend : CombiningBackends) {
     concurrentLincheck(Backend, 4, CombineMode::On);
     concurrentLincheck(Backend, 1, CombineMode::On, /*MixDirect=*/true);
   }
@@ -279,7 +289,7 @@ TEST(ShardedSetTest, LinearizableCombining) {
 TEST(ShardedSetTest, ClosedSessionsFreeTheirCombinerSlots) {
   if (!stats::Enabled)
     GTEST_SKIP() << "stats compiled out";
-  auto Front = mustCreate(options("vbl", 1, 1, CombineMode::On));
+  auto Front = mustCreate(options("coarse", 1, 1, CombineMode::On));
   const auto Delta = [Before = stats::snapshotAll()](stats::Counter C) {
     return stats::snapshotAll().delta(Before).get(C);
   };
@@ -305,6 +315,43 @@ TEST(ShardedSetTest, ClosedSessionsFreeTheirCombinerSlots) {
   Front->openSession().enqueue(SetOp::Contains, 0);
   EXPECT_EQ(Delta(stats::Counter::ServiceOpsCombined), 2 * Slots + 1);
   EXPECT_EQ(Delta(stats::Counter::ServiceOpsDirect), 1u);
+}
+
+// CombineMode::On combines exactly over the backends whose reads take
+// locks; every other backend applies each session batch directly. One
+// session, one shard, 16 batches of 4: a combining backend runs one
+// combine round per batch.
+TEST(ShardedSetTest, CombiningFollowsBackendReads) {
+  for (const SetDescription &D : registeredSetDescriptions()) {
+    const bool Locking = D.Name == "coarse" || D.Name == "hand-over-hand";
+    EXPECT_EQ(makeSet(D.Name)->readsTakeLocks(), Locking) << D.Name;
+    if (!stats::Enabled)
+      continue;
+    auto Front = mustCreate(options(D.Name, 1, 4, CombineMode::On));
+    const stats::Snapshot Before = stats::snapshotAll();
+    ShardedSet::Session Session = Front->openSession();
+    // Hash backends take only [0, 2^62) keys.
+    for (SetKey Key = 0; Key != 64; ++Key)
+      Session.enqueue(SetOp::Insert, Key);
+    Session.flush();
+    const stats::Snapshot Delta = stats::snapshotAll().delta(Before);
+    const std::vector<BatchOp> Done = Session.takeCompleted();
+    ASSERT_EQ(Done.size(), 64u) << D.Name;
+    for (const BatchOp &O : Done)
+      EXPECT_TRUE(O.Result) << D.Name << " key " << O.Key;
+    EXPECT_EQ(Front->snapshot().size(), 64u) << D.Name;
+    EXPECT_EQ(Delta.get(stats::Counter::ServiceOpsCombined),
+              Locking ? 64u : 0u)
+        << D.Name;
+    EXPECT_EQ(Delta.get(stats::Counter::ServiceCombineRounds),
+              Locking ? 16u : 0u)
+        << D.Name;
+    EXPECT_EQ(Delta.get(stats::Counter::ServiceOpsDirect),
+              Locking ? 0u : 64u)
+        << D.Name;
+  }
+  if (!stats::Enabled)
+    GTEST_SKIP() << "stats compiled out: op paths unchecked";
 }
 
 // Concurrent differential on final state: updates only, disjoint key
@@ -472,6 +519,8 @@ TEST(ShardedSetTest, EnqueueRangeBatched) {
 
 TEST(ShardedSetTest, EnqueueRangeCombining) {
   enqueueRangeDifferential("vbl-chunk", 8, CombineMode::On);
+  for (const char *Backend : CombiningBackends)
+    enqueueRangeDifferential(Backend, 8, CombineMode::On);
 }
 
 //===--------------------------------------------------------------===//
