@@ -14,6 +14,9 @@
 ///
 ///  - "guard/...", "protect/...", "retire/...": tight loops over a
 ///    single primitive, reported as ops/second.
+///  - "domain/...": building a domain, what every set pays on top of
+///    its sentinels: construct, enter one guard on the calling thread,
+///    destroy; one op is one such cycle.
 ///  - "churn/...": full list workloads at high update ratio, run twice —
 ///    pool enabled and pool bypassed (NodePool::ScopedBypass) — so the
 ///    end-to-end benefit of recycling is a single ratio. These feed the
@@ -208,6 +211,25 @@ int main(int Argc, char **Argv) {
              doNotOptimize(G.version());
            }));
   }
+  // The epoch and hazard guards attach the calling thread, so those
+  // rows include its record claim and the record block it allocates.
+  // The VBR guard only reads the clock and claims no record, so
+  // domain/vbr is construction and destruction alone.
+  report(Report, "domain/epoch", 1, measureLoop(Base, [] {
+           EpochDomain Domain;
+           EpochDomain::Guard G(Domain);
+           doNotOptimize(G);
+         }));
+  report(Report, "domain/vbr", 1, measureLoop(Base, [] {
+           VbrDomain Domain;
+           VbrDomain::Guard G(Domain);
+           doNotOptimize(G.version());
+         }));
+  report(Report, "domain/hp", 1, measureLoop(Base, [] {
+           HazardPointerDomain Domain;
+           HazardPointerDomain::Guard G(Domain);
+           doNotOptimize(G);
+         }));
   {
     HazardPointerDomain Domain;
     std::atomic<int *> Source{new int(7)};

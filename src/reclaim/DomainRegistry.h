@@ -25,6 +25,10 @@
 /// load and a compare), and an out-of-line slow path that looks the
 /// thread's record up in the registry or claims a free slot for it.
 ///
+/// The records themselves live in a RecordTable: up to
+/// MaxAttachedThreads of them, allocated a block of 8 at a time as
+/// threads attach.
+///
 /// It also holds the pieces of the domains' read-line rule: the word
 /// every guard reads sits on a line of its own (LineOwned), and
 /// per-operation counts are owner-written record cells (addOwnedCount,
@@ -37,6 +41,7 @@
 
 #include "support/Compiler.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -45,6 +50,95 @@
 
 namespace vbl {
 namespace reclaim {
+
+/// Upper bound on the threads attached to one domain at once. Records
+/// are claimed and recycled, so this bounds *simultaneous* threads, not
+/// total; every domain's MaxThreads is this constant.
+inline constexpr unsigned MaxAttachedThreads = 512;
+
+/// A domain's per-thread records (each with an atomic<bool> InUse
+/// flag), allocated in blocks of BlockRecords as threads attach. A
+/// block is allocated by the first claim that reaches it and published
+/// with a release CAS; claims take the lowest free record, so the
+/// allocated blocks always form a prefix, and the high-water mark (one
+/// past the highest record ever claimed) bounds every walk over the
+/// records. Block loads and claims are private bookkeeping: no access
+/// here goes through an access policy, so traced event streams do not
+/// see them.
+template <class RecordT> class RecordTable {
+public:
+  static constexpr unsigned BlockRecords = 8;
+  static constexpr unsigned NumBlocks = MaxAttachedThreads / BlockRecords;
+  static_assert(NumBlocks * BlockRecords == MaxAttachedThreads);
+
+  RecordTable() = default;
+  ~RecordTable() {
+    for (std::atomic<Block *> &Slot : Blocks)
+      delete Slot.load(std::memory_order_relaxed);
+  }
+
+  RecordTable(const RecordTable &) = delete;
+  RecordTable &operator=(const RecordTable &) = delete;
+
+  /// One past the highest record ever claimed. Acquire: a walk below it
+  /// finds every block it crosses published.
+  uint32_t highWater() const {
+    return HighWater.load(std::memory_order_acquire);
+  }
+
+  /// Record \p I, which must lie below highWater().
+  RecordT &operator[](uint32_t I) const {
+    return Blocks[I / BlockRecords]
+        .load(std::memory_order_acquire)
+        ->Records[I % BlockRecords];
+  }
+
+  /// Claims the lowest free record, allocating blocks on the way, and
+  /// raises the high-water mark past it; null when all
+  /// MaxAttachedThreads records are held.
+  RecordT *claim() {
+    for (uint32_t B = 0; B != NumBlocks; ++B) {
+      Block &Blk = blockAt(B);
+      for (uint32_t R = 0; R != BlockRecords; ++R) {
+        bool Expected = false;
+        if (!Blk.Records[R].InUse.compare_exchange_strong(
+                Expected, true, std::memory_order_acq_rel))
+          continue;
+        const uint32_t Mark = B * BlockRecords + R + 1;
+        uint32_t HW = HighWater.load(std::memory_order_relaxed);
+        while (HW < Mark && !HighWater.compare_exchange_weak(
+                                HW, Mark, std::memory_order_acq_rel)) {
+        }
+        return &Blk.Records[R];
+      }
+    }
+    return nullptr;
+  }
+
+private:
+  struct Block {
+    RecordT Records[BlockRecords];
+  };
+
+  /// Block \p B, allocated and published first if no claim reached it
+  /// yet. Of two claimers that race to publish it, the loser frees its
+  /// copy and uses the winner's.
+  Block &blockAt(uint32_t B) {
+    Block *Blk = Blocks[B].load(std::memory_order_acquire);
+    if (VBL_LIKELY(Blk))
+      return *Blk;
+    Block *Fresh = new Block;
+    if (Blocks[B].compare_exchange_strong(Blk, Fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+      return *Fresh;
+    delete Fresh;
+    return *Blk;
+  }
+
+  std::array<std::atomic<Block *>, NumBlocks> Blocks{};
+  std::atomic<uint32_t> HighWater{0};
+};
 
 /// Callback a domain supplies so an exiting thread can return its record.
 /// Runs under the registry mutex with the domain confirmed alive.
@@ -157,32 +251,20 @@ template <class RecordT> struct AttachCache {
   }
 };
 
-/// attachThreadRecord's miss path: the registry lookup, else a slot
-/// claim (raising \p HighWater, when the domain keeps one, so scans see
-/// the slot), then a cache refill.
+/// attachThreadRecord's miss path: the registry lookup, else a claim
+/// from \p Records, then a cache refill.
 template <class RecordT>
 VBL_NOINLINE RecordT *attachThreadRecordSlow(uint64_t DomainId,
                                              void *Domain, DetachFn Detach,
-                                             std::vector<RecordT> &Records,
-                                             std::atomic<uint32_t> *HighWater) {
+                                             RecordTable<RecordT> &Records) {
   auto *Record = static_cast<RecordT *>(findThreadRecord(DomainId));
-  for (uint32_t I = 0; !Record && I != Records.size(); ++I) {
-    bool Expected = false;
-    if (!Records[I].InUse.compare_exchange_strong(Expected, true,
-                                                  std::memory_order_acq_rel))
-      continue;
-    if (HighWater) {
-      uint32_t HW = HighWater->load(std::memory_order_relaxed);
-      while (HW < I + 1 && !HighWater->compare_exchange_weak(
-                               HW, I + 1, std::memory_order_acq_rel)) {
-      }
-    }
-    Record = &Records[I];
+  if (!Record) {
+    Record = Records.claim();
+    if (!Record)
+      vbl_unreachable("reclamation domain: more than MaxThreads concurrent "
+                      "threads");
     rememberThreadRecord(DomainId, Domain, Record, Detach);
   }
-  if (!Record)
-    vbl_unreachable("reclamation domain: more than MaxThreads concurrent "
-                    "threads");
   AttachCache<RecordT>::slot(DomainId) = {DomainId, Record};
   return Record;
 }
@@ -190,19 +272,17 @@ VBL_NOINLINE RecordT *attachThreadRecordSlow(uint64_t DomainId,
 } // namespace detail
 
 /// This thread's record in the domain \p DomainId (\p Domain itself),
-/// claiming a free one of \p Records (each with an atomic<bool> InUse
-/// flag) on the thread's first attach; \p Detach hands it back at
-/// thread exit. The cache hit is inline; everything else is out of line.
+/// claiming a free one of \p Records on the thread's first attach;
+/// \p Detach hands it back at thread exit. The cache hit is inline;
+/// everything else is out of line.
 template <class RecordT>
 VBL_ALWAYS_INLINE RecordT *
 attachThreadRecord(uint64_t DomainId, void *Domain, DetachFn Detach,
-                   std::vector<RecordT> &Records,
-                   std::atomic<uint32_t> *HighWater) {
+                   RecordTable<RecordT> &Records) {
   const auto &Entry = detail::AttachCache<RecordT>::slot(DomainId);
   if (VBL_LIKELY(Entry.DomainId == DomainId))
     return Entry.Record;
-  return detail::attachThreadRecordSlow(DomainId, Domain, Detach, Records,
-                                        HighWater);
+  return detail::attachThreadRecordSlow(DomainId, Domain, Detach, Records);
 }
 
 /// A word alone on its cache line. The guard fast paths read their
@@ -225,16 +305,17 @@ inline void addOwnedCount(std::atomic<uint64_t> &Cell, uint64_t Delta = 1) {
              std::memory_order_relaxed);
 }
 
-/// Sum of the count cell \p Cell over every record of a domain, claimed
-/// or not (an unclaimed record has counted nothing, or keeps what its
-/// last owner counted). Cells are read one at a time: exact once the
-/// counting threads are quiescent or joined.
+/// Sum of the count cell \p Cell over every record of a domain ever
+/// claimed, held now or not (a released record keeps what its last
+/// owner counted; one never claimed has counted nothing). Cells are
+/// read one at a time: exact once the counting threads are quiescent
+/// or joined.
 template <class RecordT>
-uint64_t sumRecordCounts(const std::vector<RecordT> &Records,
+uint64_t sumRecordCounts(const RecordTable<RecordT> &Records,
                          std::atomic<uint64_t> RecordT::*Cell) {
   uint64_t Sum = 0;
-  for (const RecordT &Record : Records)
-    Sum += (Record.*Cell).load(std::memory_order_relaxed);
+  for (uint32_t I = 0, HW = Records.highWater(); I != HW; ++I)
+    Sum += (Records[I].*Cell).load(std::memory_order_relaxed);
   return Sum;
 }
 

@@ -94,26 +94,28 @@ template <class PolicyT = DirectPolicy> class BasicEpochDomain {
 public:
   using Policy = PolicyT;
 
-  /// Upper bound on concurrently attached threads. Records are claimed
-  /// and recycled, so this bounds *simultaneous* threads, not total.
-  static constexpr unsigned MaxThreads = 512;
+  /// Upper bound on concurrently attached threads (slots recycle).
+  static constexpr unsigned MaxThreads = MaxAttachedThreads;
 
   /// Retired pointers per thread that trigger a collection attempt.
   /// Small enough to bound floating garbage in the benchmarks, large
   /// enough that the scan cost amortizes.
   static constexpr size_t CollectThreshold = 128;
 
-  BasicEpochDomain() : DomainId(registerDomain()), Records(MaxThreads) {}
+  BasicEpochDomain() : DomainId(registerDomain()) {}
 
   ~BasicEpochDomain() {
     // After this call no exiting thread will touch this domain again.
     unregisterDomain(DomainId);
+    const uint32_t HW = Records.highWater();
     // No guard may be active: readers into freed nodes would be fatal.
-    for (ThreadRecord &Record : Records)
-      VBL_ASSERT((Record.Announce.load(std::memory_order_acquire) & 1) == 0,
-                 "EpochDomain destroyed while a guard is active");
+    for (uint32_t I = 0; I != HW; ++I)
+      VBL_ASSERT(
+          (Records[I].Announce.load(std::memory_order_acquire) & 1) == 0,
+          "EpochDomain destroyed while a guard is active");
     // Everything still pending is safe to free now.
-    for (ThreadRecord &Record : Records) {
+    for (uint32_t I = 0; I != HW; ++I) {
+      ThreadRecord &Record = Records[I];
       for (const RetiredPtr &R : Record.RetireList)
         R.Deleter(R.Ptr);
       Record.RetireList.clear();
@@ -221,8 +223,7 @@ private:
                 "an EBR thread record is one line");
 
   VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
-    return attachThreadRecord(DomainId, this, &detachTrampoline, Records,
-                              &HighWater);
+    return attachThreadRecord(DomainId, this, &detachTrampoline, Records);
   }
 
   static void detachTrampoline(void *Domain, void *Record) {
@@ -302,7 +303,7 @@ private:
     const uint64_t Current =
         Policy::read(GlobalEpoch.Word, std::memory_order_seq_cst,
                      &GlobalEpoch.Word, MemField::Epoch);
-    const uint32_t HW = HighWater.load(std::memory_order_acquire);
+    const uint32_t HW = Records.highWater();
     for (uint32_t I = 0; I != HW; ++I) {
       ThreadRecord &Record = Records[I];
       // Policy-visible read of EVERY slot up to the high-water mark,
@@ -363,11 +364,10 @@ private:
   }
 
   const uint64_t DomainId;
-  std::atomic<uint32_t> HighWater{0}; ///< One past the highest slot used.
-  std::vector<ThreadRecord> Records;
   /// Read by every guard entry and retire, written only by an advance:
   /// alone on its line (LineOwned).
   LineOwned<uint64_t> GlobalEpoch{2};
+  RecordTable<ThreadRecord> Records;
 
   /// Retire lists of threads that exited while the domain lives on.
   std::mutex OrphanMutex;

@@ -15,17 +15,17 @@ using namespace vbl;
 using namespace vbl::reclaim;
 
 HazardPointerDomain::HazardPointerDomain(size_t ScanThreshold)
-    : DomainId(registerDomain()), Threshold(ScanThreshold),
-      Records(MaxThreads) {
+    : DomainId(registerDomain()), Threshold(ScanThreshold) {
   VBL_ASSERT(Threshold != 0, "scan threshold must be positive");
 }
 
 HazardPointerDomain::~HazardPointerDomain() {
   unregisterDomain(DomainId);
-  for (ThreadRecord &Record : Records) {
-    for (unsigned I = 0; I != SlotsPerThread; ++I)
+  for (uint32_t I = 0, HW = Records.highWater(); I != HW; ++I) {
+    ThreadRecord &Record = Records[I];
+    for (unsigned S = 0; S != SlotsPerThread; ++S)
       VBL_ASSERT(
-          Record.Hazards[I].load(std::memory_order_acquire) == nullptr,
+          Record.Hazards[S].load(std::memory_order_acquire) == nullptr,
           "HazardPointerDomain destroyed while a pointer is protected");
     for (const RetiredPtr &R : Record.RetireList)
       R.Deleter(R.Ptr);
@@ -109,8 +109,7 @@ size_t HazardPointerDomain::scan(ThreadRecord *Self,
   // Stage 1: snapshot every published hazard.
   std::vector<void *> Protected;
   Protected.reserve(64);
-  const uint32_t HW = HighWater.load(std::memory_order_acquire);
-  for (uint32_t I = 0; I != HW; ++I) {
+  for (uint32_t I = 0, HW = Records.highWater(); I != HW; ++I) {
     const ThreadRecord &Record = Records[I];
     // Slots of unattached records are all null, so no InUse filter is
     // needed for correctness; reading them is cheap.

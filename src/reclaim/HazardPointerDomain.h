@@ -54,7 +54,8 @@ public:
   /// Marker the IsHazardDomain trait detects (see below).
   struct HazardReclaimTag {};
 
-  static constexpr unsigned MaxThreads = 512;
+  /// Upper bound on concurrently attached threads (slots recycle).
+  static constexpr unsigned MaxThreads = MaxAttachedThreads;
   /// Slots per thread; the assignment is HazardSlot* below.
   static constexpr unsigned SlotsPerThread = 4;
   /// Default retire-list headroom between scans; constructor-overridable
@@ -119,8 +120,7 @@ private:
   };
 
   VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
-    return attachThreadRecord(DomainId, this, &detachTrampoline, Records,
-                              &HighWater);
+    return attachThreadRecord(DomainId, this, &detachTrampoline, Records);
   }
   static void detachTrampoline(void *Domain, void *Record);
   void detach(ThreadRecord *Record);
@@ -132,8 +132,7 @@ private:
 
   const uint64_t DomainId;
   const size_t Threshold;
-  std::atomic<uint32_t> HighWater{0};
-  std::vector<ThreadRecord> Records;
+  RecordTable<ThreadRecord> Records;
 
   std::mutex OrphanMutex;
   std::vector<RetiredPtr> Orphans;

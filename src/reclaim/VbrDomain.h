@@ -107,7 +107,7 @@ public:
   struct VersionedReclaimTag {};
 
   /// Upper bound on concurrently attached threads (slots recycle).
-  static constexpr unsigned MaxThreads = 512;
+  static constexpr unsigned MaxThreads = MaxAttachedThreads;
   /// One header line in front of every node keeps the node's own
   /// cache-line alignment intact.
   static constexpr size_t HeaderBytes = CacheLineBytes;
@@ -134,7 +134,7 @@ public:
   static_assert(sizeof(BlockHeader) <= HeaderBytes,
                 "the epoch header must fit its reserved line");
 
-  BasicVbrDomain() : DomainId(registerDomain()), Records(MaxThreads) {}
+  BasicVbrDomain() : DomainId(registerDomain()) {}
 
   ~BasicVbrDomain() {
     // After this call no exiting thread will touch this domain again.
@@ -142,9 +142,9 @@ public:
     // Type-stability ends here: every recycled block goes back to the
     // pool. Blocks still owned by the data structure were disposed by
     // its destructor before the domain member is destroyed.
-    for (ThreadRecord &Record : Records)
+    for (uint32_t I = 0, HW = Records.highWater(); I != HW; ++I)
       for (unsigned C = 0; C != NodePool::NumClasses; ++C)
-        freeChain(Record.Free[C]);
+        freeChain(Records[I].Free[C]);
     {
       std::lock_guard<std::mutex> Lock(SharedMutex);
       for (unsigned C = 0; C != NodePool::NumClasses; ++C)
@@ -454,8 +454,7 @@ private:
   }
 
   VBL_ALWAYS_INLINE ThreadRecord *attachCurrentThread() {
-    return attachThreadRecord(DomainId, this, &detachTrampoline, Records,
-                              nullptr);
+    return attachThreadRecord(DomainId, this, &detachTrampoline, Records);
   }
 
   static void detachTrampoline(void *Domain, void *Record) {
@@ -483,12 +482,12 @@ private:
   }
 
   const uint64_t DomainId;
-  std::vector<ThreadRecord> Records;
   /// The version clock, read by every guard and retire and written only
   /// by a same-epoch turnaround's bump: alone on its line (LineOwned).
   /// Starts above 0 so fresh blocks' birth 0 is strictly in the past of
   /// every possible start version.
   LineOwned<uint64_t> Clock{1};
+  RecordTable<ThreadRecord> Records;
 
   std::mutex SharedMutex;
   std::array<SharedList, NodePool::NumClasses> Shared{};

@@ -177,7 +177,7 @@ ShardedSet::Session::Session(ShardedSet &Parent, unsigned Index)
 ShardedSet::Session::Session(Session &&Other) noexcept
     : Parent(Other.Parent), Index(Other.Index),
       Queues(std::move(Other.Queues)),
-      Completed(std::move(Other.Completed)),
+      Completed(std::move(Other.Completed)), Taken(std::move(Other.Taken)),
       CompletedScans(std::move(Other.CompletedScans)),
       Pending(Other.Pending) {
   // Detach the source: a moved-from session must not flush the same
@@ -196,6 +196,7 @@ ShardedSet::Session::operator=(Session &&Other) noexcept {
   Index = Other.Index;
   Queues = std::move(Other.Queues);
   Completed = std::move(Other.Completed);
+  Taken = std::move(Other.Taken);
   CompletedScans = std::move(Other.CompletedScans);
   Pending = Other.Pending;
   Other.Parent = nullptr;
@@ -260,10 +261,10 @@ void ShardedSet::Session::close() {
   Parent = nullptr;
 }
 
-std::vector<BatchOp> ShardedSet::Session::takeCompleted() {
-  std::vector<BatchOp> Out;
-  Out.swap(Completed);
-  return Out;
+const std::vector<BatchOp> &ShardedSet::Session::takeCompleted() {
+  Taken.clear();
+  Taken.swap(Completed);
+  return Taken;
 }
 
 std::vector<ShardedSet::Session::CompletedScan>

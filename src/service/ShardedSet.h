@@ -192,8 +192,12 @@ public:
     void close();
 
     /// Completed point ops accumulated by flushes since the last take,
-    /// in completion order (per-shard queue order within a flush).
-    std::vector<BatchOp> takeCompleted();
+    /// in completion order (per-shard queue order within a flush). The
+    /// reference stays valid, and its contents unchanged, until this
+    /// session's next takeCompleted(), move or destruction: the session
+    /// swaps the two buffers, so a take in steady state allocates
+    /// nothing.
+    const std::vector<BatchOp> &takeCompleted();
 
     /// Scans completed since the last take, in enqueue order.
     std::vector<CompletedScan> takeCompletedScans();
@@ -210,6 +214,7 @@ public:
     unsigned Index; // combiner slot; CombinerSlots when none was free
     std::vector<std::vector<BatchOp>> Queues; // one per shard
     std::vector<BatchOp> Completed;
+    std::vector<BatchOp> Taken; // what the last takeCompleted() returned
     std::vector<CompletedScan> CompletedScans;
     size_t Pending = 0;
   };

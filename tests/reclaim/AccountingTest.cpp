@@ -15,19 +15,25 @@
 /// The wave tests start more threads in all than a domain has records
 /// (MaxThreads), a few at a time, so every record is reused; each thread
 /// exits with part of its retirees unfreed, which later threads free.
+/// The concurrent test releases 20 threads at once, so their claims
+/// race each other, the blocks they allocate and the scans that walk
+/// the records, across three of a RecordTable's blocks.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "reclaim/EpochDomain.h"
 #include "reclaim/HazardPointerDomain.h"
 #include "reclaim/VbrDomain.h"
+#include "support/Barrier.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -59,6 +65,15 @@ std::atomic<uint64_t> RawDeletes{0};
 void countingDelete(void *Ptr) {
   delete static_cast<int *>(Ptr);
   RawDeletes.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// The hazard domain's deletes, apart from the epoch domain's when
+/// both run at once.
+std::atomic<uint64_t> HazardDeletes{0};
+
+void countingHazardDelete(void *Ptr) {
+  delete static_cast<int *>(Ptr);
+  HazardDeletes.fetch_add(1, std::memory_order_relaxed);
 }
 
 struct Payload {
@@ -198,4 +213,113 @@ TEST(ReclaimAccounting, AttachCacheKeepsCollidingDomainsApart) {
     Total += Expected;
   }
   EXPECT_EQ(RawDeletes.load(), Total);
+}
+
+TEST(ReclaimAccounting, ConcurrentAttachesClaimDistinctRecords) {
+  // 20 threads hold records at once, so their claims fill records
+  // 0..19: three blocks of 8.
+  constexpr unsigned NumThreads = 20;
+  struct Probe {
+    std::atomic<bool> InUse{false};
+  };
+  static_assert(NumThreads > 2 * RecordTable<Probe>::BlockRecords &&
+                NumThreads <= 3 * RecordTable<Probe>::BlockRecords);
+
+  // The table alone: every claim distinct, and a walk below the
+  // high-water mark visits exactly the claimed records.
+  {
+    RecordTable<Probe> Table;
+    SpinBarrier Start(NumThreads);
+    std::vector<Probe *> Claimed(NumThreads);
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T != NumThreads; ++T)
+      Threads.emplace_back([&, T] {
+        Start.arriveAndWait();
+        Claimed[T] = Table.claim();
+      });
+    for (std::thread &Thread : Threads)
+      Thread.join();
+    const std::set<Probe *> Distinct(Claimed.begin(), Claimed.end());
+    EXPECT_EQ(Distinct.size(), NumThreads);
+    EXPECT_EQ(Distinct.count(nullptr), 0u);
+    ASSERT_EQ(Table.highWater(), NumThreads);
+    std::set<Probe *> Walked;
+    for (uint32_t I = 0; I != Table.highWater(); ++I)
+      Walked.insert(&Table[I]);
+    EXPECT_EQ(Walked, Distinct);
+  }
+
+  // The three domains: each thread retires through all of them, then
+  // waits until every thread has done so, so no record is released and
+  // reclaimed mid-test. Epoch collections scan the records while later
+  // threads are still claiming theirs.
+  constexpr unsigned PerThread = 300;
+  constexpr size_t HazardThreshold = 16;
+  RawDeletes.store(0);
+  HazardDeletes.store(0);
+  std::atomic<uint64_t> Reuses{0};
+  EpochDomain Epoch;
+  HazardPointerDomain Hazard(HazardThreshold);
+  {
+    VbrDomain Vbr;
+    SpinBarrier Start(NumThreads);
+    SpinBarrier Done(NumThreads);
+    std::vector<std::array<void *, 3>> Records(NumThreads);
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T != NumThreads; ++T)
+      Threads.emplace_back([&, T] {
+        Start.arriveAndWait();
+        uint64_t Reused = 0;
+        for (unsigned I = 0; I != PerThread; ++I) {
+          {
+            EpochDomain::Guard G(Epoch);
+            Epoch.retireRaw(new int(0), &countingDelete);
+          }
+          Hazard.retireRaw(new int(0), &countingHazardDelete);
+          bool Fresh = false;
+          void *Mem = Vbr.allocBlockFor<Payload>(Fresh);
+          Payload *Node = Fresh ? ::new (Mem) Payload()
+                                : std::launder(static_cast<Payload *>(Mem));
+          Reused += !Fresh;
+          Vbr.retireNode(Node);
+        }
+        Reuses.fetch_add(Reused, std::memory_order_relaxed);
+        for (const detail::TlsEntry &Entry : detail::tlsRegistry().Entries) {
+          if (Entry.Domain == &Epoch)
+            Records[T][0] = Entry.Record;
+          else if (Entry.Domain == &Hazard)
+            Records[T][1] = Entry.Record;
+          else if (Entry.Domain == &Vbr)
+            Records[T][2] = Entry.Record;
+        }
+        Done.arriveAndWait();
+      });
+    for (std::thread &Thread : Threads)
+      Thread.join();
+
+    for (unsigned D = 0; D != 3; ++D) {
+      std::set<void *> Distinct;
+      for (const std::array<void *, 3> &Held : Records)
+        Distinct.insert(Held[D]);
+      EXPECT_EQ(Distinct.size(), NumThreads) << "domain " << D;
+      EXPECT_EQ(Distinct.count(nullptr), 0u) << "domain " << D;
+    }
+    EXPECT_EQ(Vbr.retiredCount(), NumThreads * PerThread);
+    EXPECT_EQ(Vbr.reusedCount(), Reuses.load());
+    EXPECT_EQ(Vbr.freedCount(), Vbr.reusedCount());
+  }
+
+  const uint64_t Total = NumThreads * PerThread;
+  EXPECT_EQ(Epoch.retiredCount(), Total);
+  EXPECT_EQ(Epoch.freedCount(), RawDeletes.load());
+  Epoch.collectAll();
+  EXPECT_EQ(Epoch.freedCount(), Total);
+  EXPECT_EQ(RawDeletes.load(), Total);
+
+  EXPECT_EQ(Hazard.retiredCount(), Total);
+  EXPECT_EQ(Hazard.freedCount(), HazardDeletes.load());
+  EXPECT_EQ(Hazard.scanCount(), NumThreads * (PerThread / HazardThreshold));
+  Hazard.collectAll();
+  EXPECT_EQ(Hazard.freedCount(), Total);
+  EXPECT_EQ(HazardDeletes.load(), Total);
 }

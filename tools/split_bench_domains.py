@@ -28,16 +28,16 @@ def is_reclamation_bench(bench):
 def domain_of(structure):
     """Maps a structure name to its reclamation domain. Registry names
     suffix the non-default domain (-leaky, -vbr, -hp); micro_reclaim's
-    primitive rows name the domain directly (guard/vbr, retire/hazard);
-    churn rows carry a +pool/+bypass suffix on a registry name. EBR is
-    the default everywhere it is not named."""
+    primitive rows name the domain directly (guard/vbr, retire/hazard,
+    domain/hp); churn rows carry a +pool/+bypass suffix on a registry
+    name. EBR is the default everywhere it is not named."""
     base = structure.split("+")[0]
     if base.endswith("-leaky") or base.endswith("/leaky"):
         return "leaky"
     if base.endswith("-vbr") or base.endswith("/vbr") \
             or base.endswith("/vbr_mt"):
         return "vbr"
-    if base.endswith("-hp") or "hazard" in base:
+    if base.endswith("-hp") or base.endswith("/hp") or "hazard" in base:
         return "hp"
     return "ebr"
 

@@ -214,6 +214,25 @@ class SplitBenchDomainsTest(TempDocs):
                 doc = json.load(handle)
             self.assertEqual(len(doc["records"]), 1)
 
+    def test_domain_rows_split_by_their_suffix(self):
+        merged = self.write("merged.json", {
+            "schema": "vbl-bench-v1", "context": {},
+            "records": [
+                {"bench": "micro_reclaim", "structure": f"domain/{name}"}
+                for name in ("epoch", "vbr", "hp")
+            ],
+        })
+        result = run_tool("split_bench_domains.py", "--merged", merged,
+                          "--out-dir", self.out_dir())
+        self.assertEqual(result.returncode, 0, result.stderr)
+        for domain, name in (("ebr", "epoch"), ("vbr", "vbr"),
+                             ("hp", "hp")):
+            path = os.path.join(self.out_dir(), f"BENCH_{domain}.json")
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+            self.assertEqual([r["structure"] for r in doc["records"]],
+                             [f"domain/{name}"])
+
 
 class RunBenchesMalformedTest(TempDocs):
     def test_bench_emitting_malformed_json_named_exit_1(self):
